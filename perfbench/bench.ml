@@ -6,8 +6,9 @@
    the workload's table and a real RSA-512 key from the seed, builds and
    publishes the index through the durable store, and starts the server
    as a separate `aqv_net serve --dir` process. Then it drives the
-   server: owner republishes, an open loop over two connections, a
-   closed-loop capacity phase, and SIGKILL restarts. Every reply
+   server in rounds of owner update, republish, an open loop over two
+   connections and a closed-loop capacity phase, and ends with SIGKILL
+   restarts. Every reply
    is verified with [Client.verify]; every republish ack must carry its
    expected epoch; the restarted server must answer at the last acked
    epoch. Any failure makes the run incorrect and the exit code 1.
@@ -138,7 +139,28 @@ let traced_keypair (kp : Signer.keypair) =
 
 (* Repetitions of every set-up and restart in a run; their median is
    reported. *)
-let reps = 11
+let reps = 5
+
+(* The timed part of a run is this many rounds of owner update,
+   republish and reads, so every timing's samples spread over the whole
+   run: the host's speed drifts by a fifth over a few seconds, and the
+   median of samples taken in one burst carries that drift into the
+   run's figure. *)
+let rounds = 16
+
+(* Each distinct request of [rs] once, in order of first use. *)
+let distinct (rs : (Query.t * string) array) =
+  let seen = Hashtbl.create 64 in
+  Array.of_list
+    (List.rev
+       (Array.fold_left
+          (fun acc ((_, p) as r) ->
+            if Hashtbl.mem seen p then acc
+            else begin
+              Hashtbl.replace seen p ();
+              r :: acc
+            end)
+          [] rs))
 
 let run args =
   let w = args.workload and seed = args.seed in
@@ -158,12 +180,16 @@ let run args =
   let server = ref None in
   let stop_server () = Option.iter Server_process.stop !server; server := None in
   let finish () = stop_server (); rm_rf store_dir; rm_rf (Filename.concat work "replay") in
-  (* wall time of each step, for the record: what a run spends where *)
+  (* wall time spent in each step, summed over its repetitions, for the
+     record: what a run spends where *)
   let steps = ref [] in
   let step name f =
     let t0 = now () in
     let v = f () in
-    steps := (name, now () -. t0) :: !steps;
+    let dt = now () -. t0 in
+    (match List.assoc_opt name !steps with
+    | Some total -> total := !total +. dt
+    | None -> steps := (name, ref dt) :: !steps);
     v
   in
   Fun.protect ~finally:finish @@ fun () ->
@@ -201,29 +227,6 @@ let run args =
   in
   let port () = !srv.Server_process.port in
 
-  (* owner updates, before the timed phase: one-record Modifies *)
-  let open_s = 0.6 *. float_of_int args.seconds in
-  let cap_s = float_of_int args.seconds -. open_s in
-  let k =
-    match w.Workloads.republish_period with
-    | Some p -> max 1 (int_of_float (open_s /. p))
-    | None -> w.Workloads.drill
-  in
-  let owner_s = Array.make k 0. in
-  let deltas =
-    step "owner_updates" @@ fun () ->
-    let prev = ref index in
-    Array.init k (fun j ->
-        let changes = inp.Workloads.changes.(j) in
-        Gc.compact ();
-        let t0 = now () in
-        let next = Tracer.span "owner.apply" (fun () -> Ifmh.apply keypair changes !prev) in
-        owner_s.(j) <- now () -. t0;
-        prev := next;
-        Ifmh.delta ~changes next)
-  in
-  let payloads = Array.map republish_payload deltas in
-
   let ctx =
     let verify = Signer.verifier inp.Workloads.keypair.Signer.public in
     Client.make_ctx ~template:(Table.template table) ~domain:(Table.domain table)
@@ -238,7 +241,7 @@ let run args =
 
   (* every republish ack must carry the next epoch *)
   let epoch = ref 0 in
-  let repub_s = Array.make k Float.nan in
+  let owner_s = Array.make rounds Float.nan and repub_s = Array.make rounds Float.nan in
   let acked j = function
     | Ok (e, dt) when e = j + 1 ->
       repub_s.(j) <- dt;
@@ -246,55 +249,116 @@ let run args =
     | Ok _ -> Load.fail tally "republish.wrong_epoch"
     | Error _ -> Load.fail tally "republish.unacked"
   in
-  attempted := !attempted + k;
-
-  (* read workloads: the owner's republishes one at a time, before the
-     reads, so that they meet a server in the same state on every run
-     and the reads run against the last epoch *)
-  if w.Workloads.republish_period = None then
-    step "republish" (fun () ->
-        Array.iteri (fun j p -> acked j (Load.republish ~port:(port ()) p)) payloads);
+  attempted := !attempted + rounds;
 
   (* warm-up from the far end of the request stream: the server's first
      requests pay for lazy set-up no user sees twice *)
   let warmup = Array.sub reqs (nreq - 64) 64 in
   step "warmup" (fun () -> sequential warmup);
 
-  (* the timed window: open loop, then capacity; write-mix republishes
-     on its own open-loop schedule during the open loop *)
-  let n_open = int_of_float (w.Workloads.rate *. open_s) in
-  let stats0 = Load.stats ~port:(port ()) in
-  let cpu0 = Server_process.cpu_s !srv in
-  let m_open0 = Metrics.snapshot () in
-  let t_window = now () in
-  let republisher =
-    match w.Workloads.republish_period with
-    | None -> None
-    | Some period ->
-      Some
-        (Domain.spawn (fun () ->
-             for j = 0 to k - 1 do
-               Load.sleep_until (t_window +. ((float_of_int j +. 0.5) *. period));
-               acked j (Load.republish ~port:(port ()) payloads.(j))
-             done))
-  in
-  attempted := !attempted + n_open;
+  (* The rounds. Round j: the owner's change j (timed, nothing else
+     running), then reads: an open loop over the next slice of the
+     request stream, then closed-loop capacity. On a hot set the
+     capacity phase cycles over the round's slice, so its requests recur
+     as the hot set's do; a uniform stream goes on through the stream,
+     never repeating a request. A read workload republishes change j
+     before its reads and warms the new epoch (a hot set with the
+     slice's distinct requests, as a steady stream of them would have; a
+     uniform stream with the far-end warm-up); write-mix republishes it
+     halfway through the open loop, whose larger share keeps the reads
+     that queue behind the swap well under half of them. *)
+  let round_s = float_of_int args.seconds /. float_of_int rounds in
+  let open_s = w.Workloads.open_share *. round_s in
+  let cap_s = round_s -. open_s in
+  let per_round = max 1 (int_of_float (w.Workloads.rate *. open_s)) in
+  let n_open = rounds * per_round in
   let conns = max 1 (min 2 nproc) in
-  let ol =
-    Load.open_loop ~port:(port ()) ~ctx ~tally ~rate:w.Workloads.rate ~conns (Array.sub reqs 0 n_open)
-  in
-  let m_open = Metrics.diff (Metrics.snapshot ()) m_open0 in
-  let cap = Load.capacity ~port:(port ()) ~conns ~seconds:cap_s ~first:n_open inp.Workloads.payloads in
-  Option.iter Domain.join republisher;
-  steps := ("window", now () -. t_window) :: !steps;
-  let cpu1 = Server_process.cpu_s !srv in
-  let stats1 = Load.stats ~port:(port ()) in
-  let cap_n = cap.Load.count in
-  attempted := !attempted + cap_n;
-  step "verify_capacity" (fun () ->
-      Load.verify_all ~domains:conns ~ctx ~tally ~query:(fun i -> fst reqs.(i)) cap.Load.replies);
+  let latency_s = Array.make n_open Float.nan and late_s = Array.make n_open 0. in
+  let reply_bytes = Array.make n_open 0 and traced_req = Array.make n_open false in
+  let rps = Array.make rounds Float.nan in
+  let cap_n = ref 0 and next_cap = ref n_open in
+  (* what the engine served in the timed reads, from its own counters *)
+  let cache_hits = ref 0 and cache_misses = ref 0 and served = ref 0 and server_cpu_s = ref 0. in
+  let last_stats = ref [] in
+  (* the server's resident set after each round's reads: it grows with
+     every epoch, and its peak at the end of a run moves by a fifth with
+     when the server's last major collection ran, its median by much less *)
+  let rss_rounds = Array.make rounds Float.nan in
+  let open_hash_ops = ref 0 in
+  (* every request the engine answered, in order, for the traced replay *)
+  let sent = ref [ Array.map snd warmup ] in
+  let deltas = ref [] in
+  let prev = ref index in
+  for j = 0 to rounds - 1 do
+    let changes = inp.Workloads.changes.(j) in
+    Gc.compact ();
+    let next =
+      step "owner_update" (fun () ->
+          let t0 = now () in
+          let next = Tracer.span "owner.apply" (fun () -> Ifmh.apply keypair changes !prev) in
+          owner_s.(j) <- now () -. t0;
+          next)
+    in
+    prev := next;
+    let delta = Ifmh.delta ~changes next in
+    deltas := delta :: !deltas;
+    let payload = republish_payload delta in
+    let first = j * per_round in
+    let slice = Array.sub reqs first per_round in
+    if not w.Workloads.republish_during_reads then begin
+      step "republish" (fun () -> acked j (Load.republish ~port:(port ()) payload));
+      let warm = match w.Workloads.popularity with Workloads.Hot _ -> distinct slice | Uniform -> warmup in
+      sent := Array.map snd warm :: !sent;
+      step "warmup" (fun () -> sequential warm)
+    end;
+    let stats0 = Load.stats ~port:(port ()) and cpu0 = Server_process.cpu_s !srv in
+    let m0 = Metrics.snapshot () in
+    let t_round = now () in
+    let republisher =
+      if w.Workloads.republish_during_reads then
+        Some
+          (Domain.spawn (fun () ->
+               Load.sleep_until (t_round +. (open_s /. 2.));
+               acked j (Load.republish ~port:(port ()) payload)))
+      else None
+    in
+    let ol =
+      step "open_loop" (fun () ->
+          Load.open_loop ~port:(port ()) ~ctx ~tally ~rate:w.Workloads.rate ~conns ~first slice)
+    in
+    Option.iter Domain.join republisher;
+    open_hash_ops := !open_hash_ops + (Metrics.diff (Metrics.snapshot ()) m0).Metrics.hash_ops;
+    Array.blit ol.Load.latency_s 0 latency_s first per_round;
+    Array.blit ol.Load.late_s 0 late_s first per_round;
+    Array.blit ol.Load.reply_bytes 0 reply_bytes first per_round;
+    Array.blit ol.Load.traced 0 traced_req first per_round;
+    let cap_reqs, cap_first =
+      match w.Workloads.popularity with Workloads.Hot _ -> (slice, 0) | Uniform -> (reqs, !next_cap)
+    in
+    let cap =
+      step "capacity" (fun () ->
+          Load.capacity ~port:(port ()) ~conns ~seconds:cap_s ~first:cap_first (Array.map snd cap_reqs))
+    in
+    let cpu1 = Server_process.cpu_s !srv and stats1 = Load.stats ~port:(port ()) in
+    rps.(j) <- float_of_int cap.Load.count /. cap.Load.elapsed_s;
+    cap_n := !cap_n + cap.Load.count;
+    attempted := !attempted + per_round + cap.Load.count;
+    next_cap := cap.Load.last;
+    sent :=
+      Array.init (cap.Load.last - cap_first) (fun i ->
+          snd cap_reqs.((cap_first + i) mod Array.length cap_reqs))
+      :: Array.map snd slice :: !sent;
+    cache_hits := !cache_hits + delta_stats ~before:stats0 ~after:stats1 "cache_hits";
+    cache_misses := !cache_misses + delta_stats ~before:stats0 ~after:stats1 "cache_misses";
+    served := !served + delta_stats ~before:stats0 ~after:stats1 "req_query";
+    server_cpu_s := !server_cpu_s +. (cpu1 -. cpu0);
+    last_stats := stats1;
+    rss_rounds.(j) <- Server_process.rss_mb !srv;
+    step "verify_capacity" (fun () ->
+        Load.verify_all ~domains:conns ~ctx ~tally ~query:(fun i -> fst cap_reqs.(i)) cap.Load.replies)
+  done;
 
-  let rss_mb = Server_process.peak_rss_mb !srv in
+  let peak_rss_mb = Server_process.peak_rss_mb !srv in
 
   (* recovery, [reps] times: SIGKILL, restart over the same store, until
      the port file appears *)
@@ -317,9 +381,9 @@ let run args =
       output_string oc "request\tlatency_us\tlate_us\ttraced\n";
       Array.iteri
         (fun i l ->
-          Printf.fprintf oc "%d\t%.1f\t%.1f\t%b\n" i (us l) (us ol.Load.late_s.(i)) ol.Load.traced.(i))
-        ol.Load.latency_s);
-  let pick traced = Array.mapi (fun i x -> if ol.Load.traced.(i) = traced then x else Float.nan) ol.Load.latency_s in
+          Printf.fprintf oc "%d\t%.1f\t%.1f\t%b\n" i (us l) (us late_s.(i)) traced_req.(i))
+        latency_s);
+  let pick traced = Array.mapi (fun i x -> if traced_req.(i) = traced then x else Float.nan) latency_s in
   let untraced = pick false and traced = pick true in
   let p50 = Stat.percentile 0.5 untraced in
   let n_ok = Array.length (Stat.sorted untraced) in
@@ -328,17 +392,14 @@ let run args =
     [
       m "setup_s" "s" reps (Stat.median setup_s);
       m "query_p50_us" "us" n_ok (us p50);
-      m "query_rps" "1/s" cap_n (float_of_int cap_n /. cap.Load.elapsed_s);
+      m "query_rps" "1/s" !cap_n (Stat.median rps);
       m "reply_bytes_per_query" "B" n_open
-        (Stat.mean (Array.map float_of_int ol.Load.reply_bytes));
-      m "server_rss_mb" "MiB" 1 rss_mb;
-      m "republish_p50_ms" "ms" k (Stat.median repub_s *. 1e3);
-      m "owner_update_s" "s" k (Stat.median owner_s);
+        (Stat.mean (Array.map float_of_int reply_bytes));
+      m "server_rss_mb" "MiB" rounds (Stat.median rss_rounds);
+      m "republish_p50_ms" "ms" rounds (Stat.median repub_s *. 1e3);
+      m "owner_update_s" "s" rounds (Stat.median owner_s);
     ]
   in
-  let cache_hits = delta_stats ~before:stats0 ~after:stats1 "cache_hits" in
-  let cache_misses = delta_stats ~before:stats0 ~after:stats1 "cache_misses" in
-  let served = delta_stats ~before:stats0 ~after:stats1 "req_query" in
   let floats a = Json.List (Array.to_list (Array.map number a)) in
   let diagnostics =
     [
@@ -346,10 +407,13 @@ let run args =
       ("query_p99_us", number (us (Stat.percentile 0.99 untraced)));
       ("query_max_us", number (us (Stat.max untraced)));
       ("failed_ratio", number (float_of_int failed /. float_of_int (max 1 !attempted)));
-      ("late_ms_max", number (Stat.max ol.Load.late_s *. 1e3));
-      ("cache_hit_ratio", number (Layers.ratio cache_hits cache_misses));
+      ("late_ms_max", number (Stat.max late_s *. 1e3));
+      ("cache_hit_ratio", number (Layers.ratio !cache_hits !cache_misses));
       ("open_loop_requests", Json.Int n_open);
-      ("capacity_requests", Json.Int cap_n);
+      ("capacity_requests", Json.Int !cap_n);
+      ("query_rps_rounds", floats rps);
+      ("server_rss_mb_rounds", floats rss_rounds);
+      ("server_peak_rss_mb", number peak_rss_mb);
       ("republishes_acked", Json.Int !epoch);
       ("setup_s", floats setup_s);
       ("recovery_s_median", number (Stat.median recovery_s));
@@ -359,7 +423,7 @@ let run args =
     ]
   in
   let diagnostics () =
-    Json.Obj (diagnostics @ [ ("step_s", Json.Obj (List.rev_map (fun (k, v) -> (k, number v)) !steps)) ])
+    Json.Obj (diagnostics @ [ ("step_s", Json.Obj (List.rev_map (fun (k, v) -> (k, number !v)) !steps)) ])
   in
 
   (* ------------------------- per-layer (traced) ---------------------- *)
@@ -367,11 +431,8 @@ let run args =
     match phases with
     | None -> []
     | Some ph ->
-      let replayed =
-        Array.concat
-          [ Array.map snd warmup; Array.map snd (Array.sub reqs 0 n_open);
-            Array.init (cap.Load.last - n_open) (fun i -> inp.Workloads.payloads.((n_open + i) mod nreq)) ]
-      in
+      let replayed = Array.concat (List.rev !sent) in
+      let deltas = Array.of_list (List.rev !deltas) in
       let up =
         step "replay_update" (fun () ->
             Layers.replay_update ~dir:(Filename.concat work "replay") index deltas)
@@ -413,24 +474,24 @@ let run args =
           (float_of_int sv.Layers.locate_sign_tests /. float_of_int (max 1 sv.Layers.answered));
         ratio_m "serve.frag_hit_ratio" (Layers.ratio sv.Layers.frag_hits sv.Layers.frag_misses);
         ratio_m "serve.answer_share" (Stat.mean sv.Layers.answer_us /. us p50);
-        ratio_m "engine.cache_hit_ratio" (Layers.ratio cache_hits cache_misses);
+        ratio_m "engine.cache_hit_ratio" (Layers.ratio !cache_hits !cache_misses);
         ratio_m "engine.frag_hits_post_republish_ratio"
           (Layers.ratio
-             (count_of stats1 "frag_hits_post_republish")
-             (count_of stats1 "frag_misses_post_republish"));
-        m "engine.cpu_us_per_query" "us" served (us (cpu1 -. cpu0) /. float_of_int (max 1 served));
+             (count_of !last_stats "frag_hits_post_republish")
+             (count_of !last_stats "frag_misses_post_republish"));
+        m "engine.cpu_us_per_query" "us" !served (us !server_cpu_s /. float_of_int (max 1 !served));
         m "engine.residual_us" "us" n_ok (us p50 -. request_path);
         m "client.decode_reply_us" "us" n_ok (us (Stat.median (self "client.decode_reply")));
         m "client.verify_us" "us" n_ok (us (Stat.median (self "client.verify")));
         m "client.hash_ops_per_query" "count" n_open
-          (float_of_int m_open.Metrics.hash_ops /. float_of_int (max 1 n_open));
-        m "update.server_apply_s" "s" k (Stat.median up.Layers.apply_s);
-        m "update.delta_bytes" "B" k (Stat.mean (Array.map float_of_int up.Layers.delta_bytes));
+          (float_of_int !open_hash_ops /. float_of_int (max 1 n_open));
+        m "update.server_apply_s" "s" rounds (Stat.median up.Layers.apply_s);
+        m "update.delta_bytes" "B" rounds (Stat.mean (Array.map float_of_int up.Layers.delta_bytes));
         ratio_m "update.memo_pair_hit_ratio" up.Layers.memo_pair_hit_ratio;
         ratio_m "update.memo_fmh_hit_ratio" up.Layers.memo_fmh_hit_ratio;
-        m "store.append_ms" "ms" k (Stat.median up.Layers.append_ms);
+        m "store.append_ms" "ms" rounds (Stat.median up.Layers.append_ms);
         m "store.open_s" "s" 1 up.Layers.open_s;
-        m "load.late_ms_max" "ms" n_open (Stat.max ol.Load.late_s *. 1e3);
+        m "load.late_ms_max" "ms" n_open (Stat.max late_s *. 1e3);
         m "trace.overhead_us" "us" n_ok (us (Stat.percentile 0.5 traced -. p50));
       ]
   in

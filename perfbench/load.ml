@@ -106,7 +106,8 @@ let sleep_until t =
    latency runs from when it was due, so a stall counts against every
    request due while it lasts, including those the sender had to hold
    back because every connection was busy (its lateness is recorded).
-   With tracing on, every other request is traced.
+   With tracing on, every other request is traced; spans carry request
+   ids from [first] on.
 
    Why not pipeline on one connection: the server's sockets batch small
    writes (Nagle) while a reply is unacknowledged, and a client
@@ -117,7 +118,7 @@ let sleep_until t =
    out either 0.6 ms or 2.8 ms, run by run. With one request in flight
    per connection, the request that a reply answers also acknowledges
    the previous reply, and the latency is the request path's. *)
-let open_loop ~port ~ctx ~tally ~rate ~conns (reqs : (Query.t * string) array) =
+let open_loop ~port ~ctx ~tally ~rate ~conns ~first (reqs : (Query.t * string) array) =
   let count = Array.length reqs in
   let fds = Array.init conns (fun _ -> connect port) in
   let in_flight = Array.init conns (fun _ -> Atomic.make (-1)) in
@@ -140,7 +141,7 @@ let open_loop ~port ~ctx ~tally ~rate ~conns (reqs : (Query.t * string) array) =
           Atomic.set in_flight.(c) (-1);
           reply_bytes.(i) <- String.length bytes + 4;
           let verified () =
-            Tracer.span ~t0:(due i) ~req:i "request" (fun () -> check ctx (fst reqs.(i)) bytes)
+            Tracer.span ~t0:(due i) ~req:(first + i) "request" (fun () -> check ctx (fst reqs.(i)) bytes)
           in
           match if traced.(i) then verified () else Tracer.muted verified with
           | Ok () -> latency_s.(i) <- Unix.gettimeofday () -. due i

@@ -80,14 +80,22 @@ let stop t =
 let proc_file t name =
   In_channel.with_open_bin (Printf.sprintf "/proc/%d/%s" t.pid name) In_channel.input_all
 
-(* Peak resident set (VmHWM), MiB. *)
-let peak_rss_mb t =
+(* A /proc/<pid>/status size in kB ("VmHWM", "VmRSS"), as MiB. *)
+let status_mb t field =
+  let prefix = field ^ ":" in
+  let n = String.length prefix in
   let line =
     List.find
-      (fun l -> String.length l > 6 && String.sub l 0 6 = "VmHWM:")
+      (fun l -> String.length l > n && String.sub l 0 n = prefix)
       (String.split_on_char '\n' (proc_file t "status"))
   in
-  Scanf.sscanf line "VmHWM: %d kB" (fun kb -> float_of_int kb /. 1024.)
+  Scanf.sscanf (String.sub line n (String.length line - n)) " %d kB" (fun kb -> float_of_int kb /. 1024.)
+
+(* Peak resident set (VmHWM), MiB. *)
+let peak_rss_mb t = status_mb t "VmHWM"
+
+(* Resident set now (VmRSS), MiB. *)
+let rss_mb t = status_mb t "VmRSS"
 
 (* utime + stime, seconds, from /proc/<pid>/stat (fields 14 and 15,
    counted after the parenthesised command name). *)

@@ -4,7 +4,7 @@
 #
 #   perfbench/steady.sh OUT_DIR TRACE SEED...
 #
-# WORKLOADS (default: all three) and RUN_SECONDS (default 10) override the
+# WORKLOADS (default: all three) and RUN_SECONDS (default 15) override the
 # workloads run and the measured window.
 set -e
 cd "$(dirname "$0")/.."
@@ -14,7 +14,7 @@ mkdir -p "$out"
 for w in ${WORKLOADS:-read-hot read-cold write-mix}; do
   for seed in "$@"; do
     f="$out/$w-seed$seed-trace$trace.out"
-    if perfbench/run.sh --workload "$w" --seed "$seed" --seconds "${RUN_SECONDS:-10}" \
+    if perfbench/run.sh --workload "$w" --seed "$seed" --seconds "${RUN_SECONDS:-15}" \
          --trace "$trace" > "$f"; then
       echo "$w seed $seed: ok"
     else

@@ -36,17 +36,21 @@ type t = {
   popularity : popularity;
   mix : float * float;  (** top-k and range shares; KNN takes the rest *)
   k_max : int;  (** top-k / KNN k and range result size, 1..k_max *)
-  republish_period : float option;
-      (** an open-loop one-record republish every this many seconds
-          during the open-loop reads *)
-  drill : int;
-      (** one-record republishes sent one at a time before the reads
-          (workloads without [republish_period]) *)
+  open_share : float;
+      (** the share of each round's reading time given to the open loop;
+          the capacity phase has the rest. Larger on read-cold, whose
+          capacity replies are all distinct and each verified, and on
+          write-mix, so that the reads that queue behind each swap stay
+          well under half of the open loop and off its median *)
+  republish_during_reads : bool;
+      (** each round's one-record republish is sent halfway through the
+          round's open-loop reads; otherwise before them, followed by a
+          warm-up *)
 }
 
-(* Sizes are held to what a 2-core box finishes in about half a minute
-   per run: eleven set-ups, owner updates, republishes and restarts
-   around the timed window. Timings on such a box vary by a fifth from
+(* Sizes are held to what a 2-core box finishes in about forty seconds
+   per run: five set-ups, sixteen rounds of owner update, republish and
+   reads, and five restarts. Timings on such a box vary by a fifth from
    one repetition to the next, so many cheap repetitions beat a few
    large ones. The crossing targets are the mean counts of lines_1d
    tables of these sizes. *)
@@ -65,8 +69,8 @@ let all =
       popularity = Hot { points = 32; theta = 0.99 };
       mix = (0.5, 0.3);
       k_max = 8;
-      republish_period = None;
-      drill = 11;
+      open_share = 0.6;
+      republish_during_reads = false;
     };
     {
       name = "read-cold";
@@ -81,14 +85,14 @@ let all =
       popularity = Uniform;
       mix = (0.4, 0.4);
       k_max = 16;
-      republish_period = None;
-      drill = 11;
+      open_share = 0.75;
+      republish_during_reads = false;
     };
     {
       name = "write-mix";
       why =
-        "hot-set reads while the owner republishes a one-record change every \
-         half second: reads queue behind apply_delta, each swap voids the cache";
+        "hot-set reads while the owner republishes a one-record change in the \
+         middle of each read round: reads queue behind apply_delta, each swap voids the cache";
       n = 100;
       intercept_range = 1000;
       crossings = 1730;
@@ -97,8 +101,8 @@ let all =
       popularity = Hot { points = 32; theta = 0.99 };
       mix = (0.5, 0.3);
       k_max = 8;
-      republish_period = Some 0.5;
-      drill = 0;
+      open_share = 0.8;
+      republish_during_reads = true;
     };
   ]
 
