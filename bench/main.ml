@@ -818,6 +818,7 @@ let abl_recovery () =
   row " snapshot-load floor)\n";
   row "%8s | %10s %10s | %10s %10s | %12s | %12s\n" "frames" "recover s" "coalesced"
     "seq s" "replayed" "compacted s" "fresh build";
+  let recover_hash_ops = Hashtbl.create 8 in
   List.iter
     (fun k ->
       let dir =
@@ -864,6 +865,7 @@ let abl_recovery () =
           recovery
       in
       let recovery, t_rec, h_rec = hashed (recover `Coalesced) in
+      Hashtbl.replace recover_hash_ops k h_rec;
       let recovery_seq, t_seq, h_seq = hashed (recover `Sequential) in
       (* compact, then recover again: the log-length term disappears *)
       (match Store.open_dir dir with
@@ -903,7 +905,18 @@ let abl_recovery () =
         recovery.Store.coalesced t_seq recovery_seq.Store.replayed t_compacted
         t_fresh;
       rm_rf dir)
-    [ 0; 1; 2; 4; 8; 16 ]
+    [ 0; 1; 2; 4; 8; 16 ];
+  (* coalesced replay must stay ~flat in log length: a super-linear
+     ratio means recovery went back to one rebuild per frame (negated
+     [<] so that a NaN ratio from zero counters fails too) *)
+  let ops k = Hashtbl.find recover_hash_ops k in
+  let ratio = float_of_int (ops 16) /. float_of_int (ops 1) in
+  row "coalesced recovery hash_ops: k=1 %d, k=16 %d, ratio %.2f\n%!" (ops 1) (ops 16)
+    ratio;
+  if not (ratio < 3.0) then
+    failwith
+      (Printf.sprintf
+         "abl-recovery: recovery cost grew super-linearly: %.2fx over 16 frames" ratio)
 
 (* Serving fast paths, with CI-guarded deterministic counters: point
    location must grow sub-linearly in the subdomain count S (binary
@@ -1078,15 +1091,37 @@ let abl_build_scale () =
     if chunks <> expect_chunks then
       failwith
         (Printf.sprintf "abl-build-scale: %s n=%d ran %d chunks, expected %d" shape n
-           chunks expect_chunks)
+           chunks expect_chunks);
+    (classified, peak)
   in
   (* dense rows share [table_of]'s cache with the other figures *)
-  List.iter (fun n -> run "dense" table_of (scaled n)) [ 250; 500; 1000 ];
+  List.iter (fun n -> ignore (run "dense" table_of (scaled n))) [ 250; 500; 1000 ];
   let sparse n =
     Workload.lines_1d ~intercept_range:1_000_000 ~n
       (Prng.create (Int64.add master_seed (Int64.of_int (7_000_000 + n))))
   in
-  List.iter (fun n -> run "sparse" sparse (scaled n)) [ 1000; 2000; 4000 ]
+  let sparse_rows = List.map (fun n -> run "sparse" sparse (scaled n)) [ 1000; 2000; 4000 ] in
+  (* across the sparse sweep the front-end must be sub-quadratic: the
+     top row spans several chunks, and peak pair records stay well
+     below, and grow well slower than, the pairs classified *)
+  let small_classified, small_peak = List.hd sparse_rows in
+  let big_classified, big_peak = List.hd (List.rev sparse_rows) in
+  if big_classified <= Crossings.default_chunk then
+    failwith "abl-build-scale: sparse sweep too small to exercise chunking";
+  if 2 * big_peak >= big_classified then
+    failwith
+      (Printf.sprintf "abl-build-scale: peak %d is not sub-quadratic (classified %d)"
+         big_peak big_classified);
+  let c_ratio = float_of_int big_classified /. float_of_int small_classified in
+  let p_ratio = float_of_int big_peak /. float_of_int small_peak in
+  row "classified grew %.1fx, peak pair records %.2fx\n%!" c_ratio p_ratio;
+  (* negated [<], as in abl-recovery: a NaN ratio fails *)
+  if not (p_ratio < c_ratio /. 2.) then
+    failwith
+      (Printf.sprintf
+         "abl-build-scale: peak pair records grew %.2fx vs classified %.1fx; quadratic \
+          front-end regressed"
+         p_ratio c_ratio)
 
 (* ------------------------- bechamel micros -------------------------- *)
 

@@ -5,7 +5,8 @@
     band; the server answers length-prefixed framed requests; users
     verify the replies with {!Client}/{!Count} against the bundle. Used
     by [bin/aqv_net.ml], which runs the server and client as separate
-    processes over TCP. *)
+    processes over TCP. This module defines the messages only; the
+    framing is [Aqv_serve.Frame_io]'s. *)
 
 (** {1 Owner's public bundle} *)
 
@@ -93,13 +94,3 @@ val handle :
     into [Refused]). [Subscribe] is always [Refused] here: replication
     takes over the whole connection, which only the engine's session
     loop can do. *)
-
-(** {1 Framing} *)
-
-val write_frame : out_channel -> string -> unit
-(** 4-byte big-endian length prefix + payload; flushes. *)
-
-val read_frame : in_channel -> string option
-(** [None] on clean EOF. @raise Failure on oversized/truncated frames.
-    The body is read in bounded chunks: a short stream with a large
-    claimed length never causes the full claimed size to be allocated. *)

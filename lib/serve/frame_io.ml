@@ -55,7 +55,7 @@ let read_frame ?header_timeout ?body_timeout fd =
     fill n;
     Some (Buffer.contents buf)
 
-let frame_bytes payload =
+let frame payload =
   let n = String.length payload in
   if n > max_frame then failwith "Frame_io: frame too large";
   let b = Bytes.create (n + 4) in
@@ -78,9 +78,8 @@ let write_all fd s =
 
 let write_frame ?timeout fd payload =
   Option.iter (set_send_timeout fd) timeout;
-  let framed = frame_bytes payload in
+  let framed = frame payload in
   write_all fd framed;
   String.length framed
 
 let write_raw fd s = try write_all fd s with _ -> ()
-let frame = frame_bytes

@@ -1,10 +1,13 @@
-(** Deadline-aware frame I/O over raw file descriptors.
+(** The wire framing between users, owners, servers and replicas, and
+    deadline-aware I/O of it over raw file descriptors.
 
-    Same wire format as [Protocol.write_frame]/[read_frame] (4-byte
-    big-endian length prefix, 64 MiB cap), but over [Unix.file_descr]
-    with per-phase timeouts via [SO_RCVTIMEO]/[SO_SNDTIMEO], so both
-    the engine and the client roundtrip path get bounded blocking
-    without an event loop. All calls retry [EINTR]. *)
+    A frame is a 4-byte big-endian payload length followed by the
+    payload; payloads above 64 MiB are refused on both sides. Every
+    [Protocol] message travels as one frame. Reads and writes take
+    per-phase timeouts via [SO_RCVTIMEO]/[SO_SNDTIMEO], so both the
+    engine and the client roundtrip path get bounded blocking without
+    an event loop. All calls retry [EINTR]. The store's on-disk log has
+    its own frame format and cap ([Aqv_store.Wal]). *)
 
 exception Timeout
 (** A read or write exceeded its deadline. *)

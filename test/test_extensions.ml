@@ -601,42 +601,6 @@ let test_protocol_roundtrips () =
       check Alcotest.bool "reply verifies after roundtrip" true (accept reply'))
     checks
 
-(* frames go through a temp file: a pipe would deadlock on frames
-   larger than the kernel buffer with no concurrent reader *)
-let with_frame_file write_side read_side =
-  let path = Filename.temp_file "aqv" ".frames" in
-  let oc = open_out_bin path in
-  write_side oc;
-  close_out oc;
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () ->
-      close_in ic;
-      Sys.remove path)
-    (fun () -> read_side ic)
-
-let test_protocol_frames () =
-  with_frame_file
-    (fun oc ->
-      Protocol.write_frame oc "hello";
-      Protocol.write_frame oc "";
-      Protocol.write_frame oc (String.make 70000 'x'))
-    (fun ic ->
-      check Alcotest.(option string) "frame 1" (Some "hello") (Protocol.read_frame ic);
-      check Alcotest.(option string) "frame 2 (empty)" (Some "") (Protocol.read_frame ic);
-      (match Protocol.read_frame ic with
-      | Some s -> check Alcotest.int "frame 3 length" 70000 (String.length s)
-      | None -> Alcotest.fail "frame 3 missing");
-      check Alcotest.(option string) "clean EOF" None (Protocol.read_frame ic))
-
-let test_protocol_truncated_frame () =
-  with_frame_file
-    (fun oc -> output_string oc "\x00\x00\x00\x64abc")
-    (fun ic ->
-      match Protocol.read_frame ic with
-      | exception Failure _ -> ()
-      | _ -> Alcotest.fail "truncated frame not detected")
-
 let () =
   Alcotest.run "aqv_extensions"
     [
@@ -699,7 +663,5 @@ let () =
       ( "protocol",
         [
           Alcotest.test_case "request/reply roundtrips" `Quick test_protocol_roundtrips;
-          Alcotest.test_case "framing" `Quick test_protocol_frames;
-          Alcotest.test_case "truncated frame" `Quick test_protocol_truncated_frame;
         ] );
     ]

@@ -1,7 +1,7 @@
-(* Tests for the serving runtime (lib/serve) and the protocol framing
-   hardening that rides with it: exact-integer histograms, the LRU
-   response cache, deterministic fault injection, frame edge cases
-   (truncated / oversized / junk — must fail cleanly, never hang or
+(* Tests for the serving runtime (lib/serve) and its wire framing
+   (Frame_io): exact-integer histograms, the LRU response cache,
+   deterministic fault injection, frame edge cases (truncated /
+   oversized / stalled / junk — must fail cleanly, never hang or
    over-allocate), and the concurrent engine itself (interleaving, per-
    connection deadlines, load shedding, in-band stats, graceful drain). *)
 
@@ -156,32 +156,45 @@ let test_faults_bounds () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "bad permille accepted")
 
-(* ----------------------- protocol framing edges --------------------- *)
+(* --------------------------- framing edges -------------------------- *)
 
 (* frames go through a temp file: a pipe would deadlock on frames larger
    than the kernel buffer with no concurrent reader *)
 let with_frame_file write_side read_side =
   let path = Filename.temp_file "aqv" ".frames" in
-  let oc = open_out_bin path in
-  write_side oc;
-  close_out oc;
-  let ic = open_in_bin path in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> write_side fd);
+  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
   Fun.protect
     ~finally:(fun () ->
-      close_in ic;
+      Unix.close fd;
       Sys.remove path)
-    (fun () -> read_side ic)
+    (fun () -> read_side fd)
 
 let header_of n =
   String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff))
 
 let expect_frame_failure label raw =
   with_frame_file
-    (fun oc -> output_string oc raw)
-    (fun ic ->
-      match Protocol.read_frame ic with
+    (fun fd -> Frame_io.write_raw fd raw)
+    (fun fd ->
+      match Frame_io.read_frame fd with
       | exception Failure _ -> ()
       | _ -> Alcotest.failf "%s not detected" label)
+
+let test_frame_round_trip () =
+  with_frame_file
+    (fun fd ->
+      List.iter
+        (fun payload -> ignore (Frame_io.write_frame fd payload))
+        [ "hello"; ""; String.make 70000 'x' ])
+    (fun fd ->
+      check Alcotest.(option string) "frame 1" (Some "hello") (Frame_io.read_frame fd);
+      check Alcotest.(option string) "frame 2 (empty)" (Some "") (Frame_io.read_frame fd);
+      (match Frame_io.read_frame fd with
+      | Some s -> check Alcotest.int "frame 3 length" 70000 (String.length s)
+      | None -> Alcotest.fail "frame 3 missing");
+      check Alcotest.(option string) "clean EOF" None (Frame_io.read_frame fd))
 
 let test_frame_truncated_header () = expect_frame_failure "truncated header" "\x00\x00"
 
@@ -193,9 +206,26 @@ let test_frame_oversized () =
 
 let test_frame_zero_length () =
   with_frame_file
-    (fun oc -> Protocol.write_frame oc "")
-    (fun ic ->
-      check Alcotest.(option string) "zero-length frame" (Some "") (Protocol.read_frame ic))
+    (fun fd -> ignore (Frame_io.write_frame fd ""))
+    (fun fd ->
+      check Alcotest.(option string) "zero-length frame" (Some "") (Frame_io.read_frame fd))
+
+(* a peer that sends a whole header and part of the body, then stalls:
+   the body deadline, not the (longer) header one, must end the read *)
+let test_frame_body_stall () =
+  let peer, fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close peer;
+      Unix.close fd)
+    (fun () ->
+      Frame_io.write_raw peer (header_of 100 ^ "abc");
+      let t0 = Unix.gettimeofday () in
+      (match Frame_io.read_frame ~header_timeout:5. ~body_timeout:0.2 fd with
+      | exception Frame_io.Timeout -> ()
+      | _ -> Alcotest.fail "stalled body not timed out");
+      let elapsed = Unix.gettimeofday () -. t0 in
+      if elapsed > 1. then Alcotest.failf "stalled body took %.2f s to time out" elapsed)
 
 let test_junk_request_tag () =
   (match Protocol.decode_request (Wire.reader "\xff") with
@@ -212,10 +242,10 @@ let test_frame_no_eager_alloc () =
   (* a stream claiming 64 MiB but carrying 10 bytes must fail after
      allocating only bounded chunks, never the full claimed size *)
   with_frame_file
-    (fun oc -> output_string oc (header_of (64 * 1024 * 1024) ^ "0123456789"))
-    (fun ic ->
+    (fun fd -> Frame_io.write_raw fd (header_of (64 * 1024 * 1024) ^ "0123456789"))
+    (fun fd ->
       let before = Gc.allocated_bytes () in
-      (match Protocol.read_frame ic with
+      (match Frame_io.read_frame fd with
       | exception Failure _ -> ()
       | _ -> Alcotest.fail "truncated 64 MiB frame accepted");
       let allocated = Gc.allocated_bytes () -. before in
@@ -530,12 +560,14 @@ let () =
         ] );
       ( "framing",
         [
+          Alcotest.test_case "round trip" `Quick test_frame_round_trip;
           Alcotest.test_case "truncated header" `Quick test_frame_truncated_header;
           Alcotest.test_case "truncated body" `Quick test_frame_truncated_body;
           Alcotest.test_case "oversized" `Quick test_frame_oversized;
           Alcotest.test_case "zero length" `Quick test_frame_zero_length;
           Alcotest.test_case "junk request tag" `Quick test_junk_request_tag;
           Alcotest.test_case "no eager 64MiB alloc" `Quick test_frame_no_eager_alloc;
+          Alcotest.test_case "stalled body times out" `Quick test_frame_body_stall;
         ] );
       ( "engine",
         [
