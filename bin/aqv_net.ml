@@ -72,7 +72,6 @@ module Signer = Aqv_crypto.Signer
 module Engine = Aqv_serve.Engine
 module Roundtrip = Aqv_serve.Roundtrip
 module Faults = Aqv_serve.Faults
-module Stats = Aqv_serve.Stats
 module Store = Aqv_store.Store
 module Store_error = Aqv_store.Error
 module Hub = Aqv_cluster.Hub
@@ -211,7 +210,7 @@ let run_serve dir port once max_conns cache_capacity idle_timeout read_timeout
       }
     in
     let engine = Engine.create config index in
-    Stats.recovered (Engine.stats engine)
+    Engine.recovered engine
       ~torn_tail:(recovery.Store.torn_tail_bytes > 0)
       ~coalesced:recovery.Store.coalesced;
     let follower =
@@ -592,7 +591,6 @@ let run_workload spec_path json_path =
   let hist = Array.fold_left Histogram.merge (Histogram.create ()) hists in
   let total = spec.Spec.clients * spec.Spec.requests_per_client in
   let stats = Engine.stats engine in
-  Engine.refresh_frag_stats engine;
   let frag_rate hits misses =
     float_of_int hits /. float_of_int (max 1 (hits + misses))
   in
@@ -600,8 +598,8 @@ let run_workload spec_path json_path =
     if spec.Spec.republishes > 0 then
       Some
         (frag_rate
-           (Stats.get stats "frag_hits_post_republish")
-           (Stats.get stats "frag_misses_post_republish"))
+           (List.assoc "frag_hits_post_republish" stats)
+           (List.assoc "frag_misses_post_republish" stats))
     else None
   in
   let measured =
@@ -664,8 +662,8 @@ let run_workload spec_path json_path =
       (Histogram.percentile repub_hist 50)
       (Histogram.percentile repub_hist 99);
     Printf.printf "  fragments   %d hits / %d misses post-republish (hit rate %.2f)\n"
-      (Stats.get stats "frag_hits_post_republish")
-      (Stats.get stats "frag_misses_post_republish")
+      (List.assoc "frag_hits_post_republish" stats)
+      (List.assoc "frag_misses_post_republish" stats)
       (Option.value post_frag ~default:0.)
   end;
   if replica_counts <> [] then
@@ -705,12 +703,12 @@ let run_workload spec_path json_path =
                       ("republish_us_p50", jI (Histogram.percentile repub_hist 50));
                       ("republish_us_p99", jI (Histogram.percentile repub_hist 99));
                       ( "frag_hits_post_republish",
-                        jI (Stats.get stats "frag_hits_post_republish") );
+                        jI (List.assoc "frag_hits_post_republish" stats) );
                       ( "frag_misses_post_republish",
-                        jI (Stats.get stats "frag_misses_post_republish") );
+                        jI (List.assoc "frag_misses_post_republish" stats) );
                       ( "post_republish_frag_hit_rate",
                         jF (Option.value post_frag ~default:0.) );
-                      ("deltas_shipped", jI (Stats.get stats "deltas_shipped"));
+                      ("deltas_shipped", jI (List.assoc "deltas_shipped" stats));
                       ( "per_replica",
                         jO (List.map (fun (n, c) -> (n, jI c)) replica_counts) );
                       ("verify_failures", jI all_failures);

@@ -169,24 +169,16 @@ let decode_reply r =
   | 9 -> Snapshot_frame { index = W.read_bytes r }
   | _ -> failwith "Protocol: bad reply tag"
 
-let handle ?stats ?republish index request =
+let handle index request =
   match
     match request with
     | Run_query q -> Answer (Server.answer index q)
     | Run_rank { x; record_id } -> Rank_answer (Server.rank index ~x ~record_id)
     | Run_count { x; l; u } -> Count_answer (Count.answer index ~x ~l ~u)
-    | Get_stats -> (
-      match stats with
-      | Some f -> Stats (f ())
-      | None -> Refused "Protocol: stats not available")
-    | Republish delta -> (
-      match republish with
-      | Some f -> Republished (f delta)
-      | None -> Refused "Protocol: republish not available")
-    | Subscribe _ ->
-      (* replication needs a connection-level handoff; only the serving
-         engine's session loop can honour it *)
-      Refused "Protocol: replication not available"
+    (* counters, mutation and replication belong to the serving engine *)
+    | Get_stats -> Refused "Protocol: stats not available"
+    | Republish _ -> Refused "Protocol: republish not available"
+    | Subscribe _ -> Refused "Protocol: replication not available"
   with
   | reply -> reply
   | exception Invalid_argument msg -> Refused msg

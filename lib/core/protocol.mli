@@ -80,17 +80,8 @@ val encode_reply : Aqv_util.Wire.writer -> reply -> unit
 val decode_reply : Aqv_util.Wire.reader -> reply
 (** @raise Failure on malformed input. *)
 
-val handle :
-  ?stats:(unit -> (string * int) list) ->
-  ?republish:(Ifmh.delta -> int) ->
-  Ifmh.t ->
-  request ->
-  reply
-(** Server-side dispatch. Never raises: bad inputs come back as
-    [Refused]. [Get_stats] is answered by the [stats] callback when
-    given (the serving runtime passes its counters), else [Refused];
-    likewise [Republish] by the [republish] callback, which returns the
-    epoch now being served (raising [Failure]/[Invalid_argument] turns
-    into [Refused]). [Subscribe] is always [Refused] here: replication
-    takes over the whole connection, which only the engine's session
-    loop can do. *)
+val handle : Ifmh.t -> request -> reply
+(** Server-side dispatch of the query requests. Never raises: bad
+    inputs come back as [Refused]. [Get_stats], [Republish] and
+    [Subscribe] are always [Refused] here: counters, mutation and the
+    replication handoff belong to the serving engine. *)

@@ -1,4 +1,6 @@
 module Wire = Aqv_util.Wire
+module Metrics = Aqv_util.Metrics
+module Histogram = Aqv_util.Histogram
 module Protocol = Aqv.Protocol
 module Ifmh = Aqv.Ifmh
 
@@ -15,7 +17,6 @@ type publisher = {
 type config = {
   port : int;
   max_conns : int;
-  backlog : int;
   idle_timeout : float;
   read_timeout : float;
   write_timeout : float;
@@ -33,7 +34,6 @@ let default_config =
   {
     port = 7464;
     max_conns = 64;
-    backlog = 64;
     idle_timeout = 10.;
     read_timeout = 5.;
     write_timeout = 5.;
@@ -47,20 +47,71 @@ let default_config =
     publisher = None;
   }
 
+(* listen(2) backlog *)
+let backlog = 64
+
+(* The engine's counters: one Metrics scope per engine, keys in
+   Get_stats order. Gauges are not counted here; {!stats} reads them
+   from the serving state and splices them in. *)
+let counter_keys =
+  Metrics.keys
+    [
+      "req_query"; "req_rank"; "req_count"; "req_stats"; "req_republish";
+      "req_subscribe"; "req_malformed"; "replies_refused"; "bytes_in"; "bytes_out";
+      "cache_hits"; "cache_misses"; "conns_accepted"; "conns_refused";
+      "sessions_dropped"; "index_swaps"; "log_appends"; "recoveries";
+      "torn_tail_truncations"; "frames_coalesced"; "compactions"; "memo_pair_hits";
+      "memo_fmh_hits"; "followers_connected"; "deltas_shipped"; "faults_delay";
+      "faults_truncate"; "faults_drop";
+    ]
+
+let counter = Metrics.key counter_keys
+let req_query = counter "req_query"
+let req_rank = counter "req_rank"
+let req_count = counter "req_count"
+let req_stats = counter "req_stats"
+let req_republish = counter "req_republish"
+let req_subscribe = counter "req_subscribe"
+let req_malformed = counter "req_malformed"
+let replies_refused = counter "replies_refused"
+let bytes_in = counter "bytes_in"
+let bytes_out = counter "bytes_out"
+let cache_hits = counter "cache_hits"
+let cache_misses = counter "cache_misses"
+let conns_accepted = counter "conns_accepted"
+let conns_refused = counter "conns_refused"
+let sessions_dropped = counter "sessions_dropped"
+let index_swaps = counter "index_swaps"
+let log_appends = counter "log_appends"
+let recoveries = counter "recoveries"
+let torn_tail_truncations = counter "torn_tail_truncations"
+let frames_coalesced = counter "frames_coalesced"
+let compactions = counter "compactions"
+let memo_pair_hits = counter "memo_pair_hits"
+let memo_fmh_hits = counter "memo_fmh_hits"
+let followers_connected = counter "followers_connected"
+let deltas_shipped = counter "deltas_shipped"
+let faults_delay = counter "faults_delay"
+let faults_truncate = counter "faults_truncate"
+let faults_drop = counter "faults_drop"
+
 type t = {
   config : config;
   index : Ifmh.t Atomic.t;
   listen_sock : Unix.file_descr;
   bound_port : int;
-  stats : Stats.t;
+  counters : Metrics.scope;
+  latency : Histogram.t;  (* guarded by [latency_mu] *)
+  latency_mu : Mutex.t;
   cache : Cache.t;
   stopped : bool Atomic.t;
   mu : Mutex.t;
   republish_mu : Mutex.t;
   mutable active : int;
   mutable compactor : Thread.t option;  (* guarded by [mu] *)
-  (* fragment-cache counters at the last index swap, guarded by [mu]:
-     the post-republish split reported in stats is rebased on these *)
+  (* fragment-cache counters at the last index swap, guarded by [mu]
+     together with the swap itself: the post-republish split reported
+     in stats is rebased on these *)
   mutable frag_hits_at_swap : int;
   mutable frag_misses_at_swap : int;
 }
@@ -69,7 +120,7 @@ let create config index =
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt sock Unix.SO_REUSEADDR true;
   Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, config.port));
-  Unix.listen sock config.backlog;
+  Unix.listen sock backlog;
   let bound_port =
     match Unix.getsockname sock with
     | Unix.ADDR_INET (_, p) -> p
@@ -81,7 +132,9 @@ let create config index =
       index = Atomic.make index;
       listen_sock = sock;
       bound_port;
-      stats = Stats.create ();
+      counters = Metrics.scope counter_keys;
+      latency = Histogram.create ();
+      latency_mu = Mutex.create ();
       cache = Cache.create ~capacity:config.cache_capacity;
       stopped = Atomic.make false;
       mu = Mutex.create ();
@@ -92,11 +145,10 @@ let create config index =
       frag_misses_at_swap = 0;
     }
   in
-  Stats.set_epoch t.stats (Ifmh.epoch index);
   t
 
 let port t = t.bound_port
-let stats t = t.stats
+let tick t k = Metrics.incr t.counters k
 let stop t = Atomic.set t.stopped true
 let index t = Atomic.get t.index
 
@@ -120,10 +172,7 @@ let swap_index t index' =
     t.frag_misses_at_swap <- m
   end;
   Mutex.unlock t.mu;
-  if installed then begin
-    Stats.index_swapped t.stats;
-    Stats.set_epoch t.stats (Ifmh.epoch index')
-  end;
+  if installed then tick t index_swaps;
   installed
 
 (* Raised internally when fault injection kills the reply: the session
@@ -153,7 +202,7 @@ let compact_store t store =
     (fun () ->
       try
         if Aqv_store.Store.maybe_compact store (Atomic.get t.index) then begin
-          Stats.compacted t.stats;
+          tick t compactions;
           Log.info (fun m ->
               m "store compacted at epoch %d" (Ifmh.epoch (Atomic.get t.index)))
         end
@@ -201,13 +250,13 @@ let republish t delta =
       (* memo ticks happen only inside rebuilds, which all serialize
          under [republish_mu], so the delta around this apply is
          attributable to it alone *)
-      let m0 = Aqv_util.Metrics.snapshot () in
+      let m0 = Metrics.snapshot () in
       match Ifmh.apply_delta delta base with
       | exception (Failure msg | Invalid_argument msg) -> Error msg
       | index' -> (
-        let dm = Aqv_util.Metrics.diff (Aqv_util.Metrics.snapshot ()) m0 in
-        Stats.add_memo_hits t.stats ~pairs:dm.Aqv_util.Metrics.memo_pair_hits
-          ~fmh:dm.Aqv_util.Metrics.memo_fmh_hits;
+        let dm = Metrics.diff (Metrics.snapshot ()) m0 in
+        Metrics.add t.counters memo_pair_hits dm.Metrics.memo_pair_hits;
+        Metrics.add t.counters memo_fmh_hits dm.Metrics.memo_fmh_hits;
         if Ifmh.epoch index' <= Ifmh.epoch base then
           Error "Engine: republish does not advance the epoch"
         else
@@ -217,13 +266,12 @@ let republish t delta =
           | exception Aqv_store.Error.Error e ->
             Error ("Store: " ^ Aqv_store.Error.to_string e)
           | () ->
-            Option.iter (fun _ -> Stats.log_appended t.stats) t.config.store;
+            Option.iter (fun _ -> tick t log_appends) t.config.store;
             ignore (swap_index t index');
             Option.iter
               (fun p ->
                 p.ship ~base ~index:index' delta;
-                Stats.delta_shipped t.stats;
-                Stats.set_follower_lag t.stats (p.lag ()))
+                tick t deltas_shipped)
               t.config.publisher;
             Log.info (fun m ->
                 m "republished: now serving epoch %d" (Ifmh.epoch index'));
@@ -248,99 +296,141 @@ let install_snapshot t index' =
         | exception Aqv_store.Error.Error e ->
           Error ("Store: " ^ Aqv_store.Error.to_string e)
         | () ->
-          Option.iter (fun _ -> Stats.compacted t.stats) t.config.store;
+          Option.iter (fun _ -> tick t compactions) t.config.store;
           ignore (swap_index t index');
           Log.info (fun m ->
               m "snapshot installed: now serving epoch %d" (Ifmh.epoch index'));
           Ok (Ifmh.epoch index'))
 
-(* Pull-based refresh of the fragment-cache stats gauges: the cache
-   keeps its own race-free counters, so stats are read, never sampled
-   from global metrics. Ran on every Get_stats, and callable by
-   in-process probes (the bench subcommand) before reading Stats. *)
-let refresh_frag_stats t =
-  let hits, misses = Aqv.Fragment.counters (Ifmh.fragments (Atomic.get t.index)) in
-  let base_h, base_m =
+let recovered t ~torn_tail ~coalesced =
+  tick t recoveries;
+  Metrics.add t.counters frames_coalesced coalesced;
+  if torn_tail then tick t torn_tail_truncations
+
+(* The Get_stats list. Counters come from the engine's scope; gauges
+   are read here, never pushed: the epoch and the fragment split from
+   the served index (under [mu], so both describe the same swap), the
+   follower lag from the publisher. *)
+let stats t =
+  let index, (base_h, base_m) =
     Mutex.lock t.mu;
-    let b = (t.frag_hits_at_swap, t.frag_misses_at_swap) in
+    let v = (Atomic.get t.index, (t.frag_hits_at_swap, t.frag_misses_at_swap)) in
     Mutex.unlock t.mu;
-    b
+    v
   in
-  Stats.set_frag_counters t.stats ~hits ~misses
-    ~post_republish_hits:(max 0 (hits - base_h))
-    ~post_republish_misses:(max 0 (misses - base_m))
+  let hits, misses = Aqv.Fragment.counters (Ifmh.fragments index) in
+  let gauges_before = function
+    | "followers_connected" ->
+      [
+        ("frag_hits", hits);
+        ("frag_misses", misses);
+        ("frag_hits_post_republish", max 0 (hits - base_h));
+        ("frag_misses_post_republish", max 0 (misses - base_m));
+        ("epoch", Ifmh.epoch index);
+      ]
+    | "faults_delay" ->
+      let lag = match t.config.publisher with Some p -> p.lag () | None -> 0 in
+      [ ("follower_lag_frames", lag) ]
+    | _ -> []
+  in
+  let counters =
+    List.concat_map
+      (fun ((name, _) as c) -> gauges_before name @ [ c ])
+      (Metrics.to_assoc t.counters)
+  in
+  Mutex.lock t.latency_mu;
+  let h = t.latency in
+  let latency =
+    [
+      ("latency_us_count", Histogram.count h);
+      ("latency_us_max", Histogram.max_value h);
+      ("latency_us_p50", Histogram.percentile h 50);
+      ("latency_us_p90", Histogram.percentile h 90);
+      ("latency_us_p99", Histogram.percentile h 99);
+    ]
+    @ List.map (fun (b, c) -> (Printf.sprintf "latency_us_le_%d" b, c)) (Histogram.buckets h)
+  in
+  Mutex.unlock t.latency_mu;
+  counters @ latency
+
+(* One line for the periodic and final log, read off the stats list. *)
+let pp_stats ppf kvs =
+  let get k = List.assoc k kvs in
+  Format.fprintf ppf
+    "req=%d (q=%d r=%d c=%d s=%d bad=%d) refused=%d cache=%d/%d frag=%d/%d \
+     conns=%d shed=%d dropped=%d in=%dB out=%dB lat[n=%d max=%d p50=%d p90=%d p99=%d]"
+    (get "req_query" + get "req_rank" + get "req_count" + get "req_stats"
+   + get "req_republish")
+    (get "req_query") (get "req_rank") (get "req_count") (get "req_stats")
+    (get "req_malformed") (get "replies_refused") (get "cache_hits")
+    (get "cache_hits" + get "cache_misses")
+    (get "frag_hits")
+    (get "frag_hits" + get "frag_misses")
+    (get "conns_accepted") (get "conns_refused") (get "sessions_dropped")
+    (get "bytes_in") (get "bytes_out") (get "latency_us_count") (get "latency_us_max")
+    (get "latency_us_p50") (get "latency_us_p90") (get "latency_us_p99")
 
 (* What a session should do with one decoded request: answer it, or
    hand the connection over to the replication publisher. *)
 type action = Reply of string | Handoff of { from_epoch : int option }
 
+let refuse t msg =
+  tick t replies_refused;
+  Reply (encode_reply_bytes (Protocol.Refused msg))
+
+(* A query-class request, answered from the response cache when it can
+   be. One index snapshot per request: the reply and its cache key
+   always describe the same epoch, even if a swap lands mid-request. *)
+let answer t kind payload request =
+  tick t kind;
+  let index = Atomic.get t.index in
+  let key = string_of_int (Ifmh.epoch index) ^ ":" ^ payload in
+  match Cache.find t.cache key with
+  | Some bytes ->
+    tick t cache_hits;
+    Reply bytes
+  | None ->
+    tick t cache_misses;
+    let reply = Protocol.handle index request in
+    (match reply with Protocol.Refused _ -> tick t replies_refused | _ -> ());
+    let bytes = encode_reply_bytes reply in
+    Cache.add t.cache key bytes;
+    Reply bytes
+
 (* Compute (or fetch from cache) the encoded reply for one raw request
-   payload. Get_stats bypasses the cache — its reply changes with every
-   request. Malformed payloads become Refused, uniformly for Failure
-   and Invalid_argument (Bytes/array bounds in decoders). *)
+   payload. Get_stats and Republish bypass the cache — the one changes
+   with every request, the other mutates serving state. Malformed
+   payloads become Refused, uniformly for Failure and Invalid_argument
+   (Bytes/array bounds in decoders). *)
 let reply_bytes_for t payload =
   match Protocol.decode_request (Wire.reader payload) with
   | exception (Failure msg | Invalid_argument msg) ->
-    Stats.on_request t.stats `Malformed;
-    Stats.on_refused t.stats;
-    Reply (encode_reply_bytes (Protocol.Refused msg))
+    tick t req_malformed;
+    refuse t msg
   | Protocol.Get_stats ->
-    Stats.on_request t.stats `Stats;
-    refresh_frag_stats t;
-    Reply (encode_reply_bytes (Protocol.Stats (Stats.to_assoc t.stats)))
+    tick t req_stats;
+    Reply (encode_reply_bytes (Protocol.Stats (stats t)))
   | Protocol.Subscribe { from_epoch } -> (
-    Stats.on_request t.stats `Subscribe;
+    tick t req_subscribe;
     match t.config.publisher with
     | Some _ -> Handoff { from_epoch }
-    | None ->
-      Stats.on_refused t.stats;
-      Reply (encode_reply_bytes (Protocol.Refused "Engine: replication not enabled")))
-  | Protocol.Republish delta ->
-    (* uncached, like Get_stats: a republish mutates serving state *)
-    Stats.on_request t.stats `Republish;
-    let reply =
-      if not t.config.accept_republish then begin
-        Stats.on_refused t.stats;
-        Protocol.Refused "Engine: read replica, republish to the primary"
-      end
-      else
-        match republish t delta with
-        | Ok epoch -> Protocol.Republished epoch
-        | Error msg ->
-          Stats.on_refused t.stats;
-          Protocol.Refused msg
-    in
-    Reply (encode_reply_bytes reply)
-  | request ->
-    Stats.on_request t.stats
-      (match request with
-      | Protocol.Run_query _ -> `Query
-      | Protocol.Run_rank _ -> `Rank
-      | Protocol.Run_count _ -> `Count
-      | Protocol.Get_stats | Protocol.Republish _ | Protocol.Subscribe _ ->
-        assert false);
-    (* one snapshot per request: the reply and its cache key always
-       describe the same epoch, even if a swap lands mid-request *)
-    let index = Atomic.get t.index in
-    let key = string_of_int (Ifmh.epoch index) ^ ":" ^ payload in
-    (match Cache.find t.cache key with
-    | Some bytes ->
-      Stats.cache_hit t.stats;
-      Reply bytes
-    | None ->
-      Stats.cache_miss t.stats;
-      let reply = Protocol.handle index request in
-      (match reply with
-      | Protocol.Refused _ -> Stats.on_refused t.stats
-      | _ -> ());
-      let bytes = encode_reply_bytes reply in
-      Cache.add t.cache key bytes;
-      Reply bytes)
+    | None -> refuse t "Engine: replication not enabled")
+  | Protocol.Republish delta -> (
+    tick t req_republish;
+    if not t.config.accept_republish then
+      refuse t "Engine: read replica, republish to the primary"
+    else
+      match republish t delta with
+      | Ok epoch -> Reply (encode_reply_bytes (Protocol.Republished epoch))
+      | Error msg -> refuse t msg)
+  | Protocol.Run_query _ as request -> answer t req_query payload request
+  | Protocol.Run_rank _ as request -> answer t req_rank payload request
+  | Protocol.Run_count _ as request -> answer t req_count payload request
 
 let send_reply t fd bytes =
   let deliver () =
     let n = Frame_io.write_frame ~timeout:t.config.write_timeout fd bytes in
-    Stats.add_bytes_out t.stats n
+    Metrics.add t.counters bytes_out n
   in
   match t.config.faults with
   | None -> deliver ()
@@ -349,15 +439,15 @@ let send_reply t fd bytes =
     match Faults.draw f ~frame_len:framed_len with
     | None -> deliver ()
     | Some (Faults.Delay s) ->
-      Stats.on_fault t.stats `Delay;
+      tick t faults_delay;
       Thread.delay s;
       deliver ()
     | Some (Faults.Truncate k) ->
-      Stats.on_fault t.stats `Truncate;
+      tick t faults_truncate;
       Frame_io.write_raw fd (String.sub (Frame_io.frame bytes) 0 k);
       raise Fault_closed
     | Some Faults.Drop ->
-      Stats.on_fault t.stats `Drop;
+      tick t faults_drop;
       raise Fault_closed)
 
 let session t fd =
@@ -368,10 +458,13 @@ let session t fd =
     with
     | None -> () (* clean close *)
     | Some payload -> (
-      Stats.add_bytes_in t.stats (String.length payload + 4);
+      Metrics.add t.counters bytes_in (String.length payload + 4);
       let t0 = now_us () in
       let action = reply_bytes_for t payload in
-      Stats.observe_latency_us t.stats (now_us () - t0);
+      let us = now_us () - t0 in
+      Mutex.lock t.latency_mu;
+      Histogram.observe t.latency us;
+      Mutex.unlock t.latency_mu;
       match action with
       | Reply bytes ->
         send_reply t fd bytes;
@@ -381,15 +474,15 @@ let session t fd =
            publisher's feeder runs right here, in this session thread,
            so the fd stays owned (and finally closed) by the session *)
         let publisher = Option.get t.config.publisher in
-        Stats.follower_connected t.stats;
+        tick t followers_connected;
         Fun.protect
-          ~finally:(fun () -> Stats.follower_disconnected t.stats)
+          ~finally:(fun () -> Metrics.add t.counters followers_connected (-1))
           (fun () -> publisher.subscribe fd ~from_epoch))
   in
   loop ()
 
 let drop_session t exn =
-  Stats.session_dropped t.stats;
+  tick t sessions_dropped;
   Log.info (fun m -> m "session dropped: %s" (Printexc.to_string exn))
 
 let session_thread t fd =
@@ -411,7 +504,7 @@ let session_thread t fd =
       | Failure _ as e -> drop_session t e)
 
 let shed t fd =
-  Stats.conn_refused t.stats;
+  tick t conns_refused;
   ignore
     (Thread.create
        (fun () ->
@@ -429,8 +522,7 @@ let stats_logger t =
          let rec loop elapsed =
            if not (Atomic.get t.stopped) then
              if elapsed >= t.config.stats_interval then begin
-               refresh_frag_stats t;
-               Log.app (fun m -> m "%a" Stats.pp t.stats);
+               Log.app (fun m -> m "%a" pp_stats (stats t));
                loop 0.
              end
              else begin
@@ -477,7 +569,7 @@ let serve t =
           accept_loop ()
         end
         else begin
-          Stats.conn_accepted t.stats;
+          tick t conns_accepted;
           if t.config.once then begin
             session_thread t conn;
             stop t
@@ -507,5 +599,4 @@ let serve t =
      compaction must not outlive us *)
   Option.iter Thread.join compactor;
   (try Unix.close t.listen_sock with Unix.Unix_error _ -> ());
-  refresh_frag_stats t;
-  Log.info (fun m -> m "stopped: %a" Stats.pp t.stats)
+  Log.info (fun m -> m "stopped: %a" pp_stats (stats t))

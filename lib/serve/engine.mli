@@ -18,9 +18,10 @@
       signed delta and atomically hot-swaps the served index
       ({!swap_index}), invalidating cached replies for free via the
       epoch in the cache key;
-    - observability ({!Stats}): request counters, exact-integer latency
-      histogram, bytes in/out, cache and shed counters, served in-band
-      via [Protocol.Get_stats] and as a periodic log line;
+    - observability ({!stats}): request, byte, cache and shed counters
+      in the engine's own {!Aqv_util.Metrics} scope, an exact-integer
+      latency histogram, and gauges read from the serving state, served
+      in-band via [Protocol.Get_stats] and as a periodic log line;
     - graceful shutdown: {!stop} stops accepting and drains in-flight
       sessions (bounded by [drain_timeout]);
     - deterministic fault injection ({!Faults}) on the reply path, for
@@ -53,7 +54,6 @@ type publisher = {
 type config = {
   port : int;  (** 0 picks an ephemeral port; see {!port} *)
   max_conns : int;  (** concurrent session limit before shedding *)
-  backlog : int;  (** listen(2) backlog *)
   idle_timeout : float;  (** seconds to wait for a request to start; 0. = forever *)
   read_timeout : float;  (** seconds to finish reading a started frame *)
   write_timeout : float;  (** seconds to write one reply *)
@@ -87,14 +87,25 @@ val create : config -> Aqv.Ifmh.t -> t
 val port : t -> int
 (** The actually bound port (resolves [port = 0]). *)
 
-val stats : t -> Stats.t
+val stats : t -> (string * int) list
+(** The [Protocol.Get_stats] list, in a stable order: the engine's
+    counters (requests by type, refusals, bytes, cache, connections,
+    swaps, log appends, recoveries, compactions, rebuild-cache hits,
+    replication and fault tallies), with gauges read when the list is
+    built — ["epoch"] of the served index, the fragment-cache totals
+    ({!Aqv.Fragment.counters}) and their split since the last
+    {!swap_index} (["frag_hits_post_republish"],
+    ["frag_misses_post_republish"]), and the publisher's
+    ["follower_lag_frames"] — then the latency histogram as
+    [latency_us_count], [latency_us_max], [latency_us_p50/p90/p99] and
+    one [latency_us_le_<bound>] entry per non-empty bucket. The wire
+    reply and the periodic log line both read this list. *)
 
-val refresh_frag_stats : t -> unit
-(** Refresh the fragment-cache gauges in {!stats} from the serving
-    index's own counters (total and rebased at the last
-    {!swap_index}). Every [Get_stats] request does this implicitly;
-    in-process probes that read {!Stats.get} directly (the bench
-    subcommand) must call it first. *)
+val recovered : t -> torn_tail:bool -> coalesced:int -> unit
+(** Count a startup recovery of the served index from a durable store:
+    [torn_tail] records whether a partial trailing log frame had to be
+    truncated, [coalesced] how many log frames were folded into the
+    single recovery rebuild (0 under sequential replay). *)
 
 val index : t -> Aqv.Ifmh.t
 (** The index currently being served (a snapshot; see {!swap_index}). *)

@@ -20,50 +20,66 @@ type snapshot = {
   build_crossings : int;
 }
 
+type keys = string array
+type key = { owner : keys; index : int }
+type scope = { shape : keys; cells : int Atomic.t array }
+
+let keys names =
+  if List.length (List.sort_uniq String.compare names) <> List.length names then
+    invalid_arg "Metrics.keys: duplicate name";
+  Array.of_list names
+
+let key owner name =
+  match Array.find_index (String.equal name) owner with
+  | Some index -> { owner; index }
+  | None -> invalid_arg ("Metrics.key: no counter named " ^ name)
+
 (* Atomic, not plain refs: library code ticks these from whatever domain
    happens to run it (the construction pipeline fans out over
    Aqv_par.Pool workers), and lost increments would make parallel builds
    report different op counts than sequential ones. *)
-let hash_ops = Atomic.make 0
-let hash_bytes = Atomic.make 0
-let sign_ops = Atomic.make 0
-let verify_ops = Atomic.make 0
-let itree_nodes = Atomic.make 0
-let fmh_nodes = Atomic.make 0
-let mesh_cells = Atomic.make 0
-let bytes_out = Atomic.make 0
-let memo_pair_hits = Atomic.make 0
-let memo_pair_misses = Atomic.make 0
-let memo_fmh_hits = Atomic.make 0
-let memo_fmh_misses = Atomic.make 0
-let locate_sign_tests = Atomic.make 0
-let frag_hits = Atomic.make 0
-let frag_misses = Atomic.make 0
-let build_pairs_classified = Atomic.make 0
-let build_pair_chunks = Atomic.make 0
-let build_peak_pairs = Atomic.make 0
-let build_crossings = Atomic.make 0
+let scope shape = { shape; cells = Array.map (fun _ -> Atomic.make 0) shape }
 
-let reset () =
-  Atomic.set hash_ops 0;
-  Atomic.set hash_bytes 0;
-  Atomic.set sign_ops 0;
-  Atomic.set verify_ops 0;
-  Atomic.set itree_nodes 0;
-  Atomic.set fmh_nodes 0;
-  Atomic.set mesh_cells 0;
-  Atomic.set bytes_out 0;
-  Atomic.set memo_pair_hits 0;
-  Atomic.set memo_pair_misses 0;
-  Atomic.set memo_fmh_hits 0;
-  Atomic.set memo_fmh_misses 0;
-  Atomic.set locate_sign_tests 0;
-  Atomic.set frag_hits 0;
-  Atomic.set frag_misses 0;
-  Atomic.set build_pairs_classified 0;
-  Atomic.set build_pair_chunks 0;
-  Atomic.set build_peak_pairs 0;
-  Atomic.set build_crossings 0
+let cell s k =
+  if k.owner != s.shape then invalid_arg "Metrics: key of another scope";
+  s.cells.(k.index)
+
+let add_cell c v = ignore (Atomic.fetch_and_add c v : int)
+let incr s k = Atomic.incr (cell s k)
+let add s k v = add_cell (cell s k) v
+let to_assoc s = Array.to_list (Array.map2 (fun n c -> (n, Atomic.get c)) s.shape s.cells)
+
+let global_keys =
+  keys
+    [
+      "hash_ops"; "hash_bytes"; "sign_ops"; "verify_ops"; "itree_nodes"; "fmh_nodes";
+      "mesh_cells"; "bytes_out"; "memo_pair_hits"; "memo_pair_misses"; "memo_fmh_hits";
+      "memo_fmh_misses"; "locate_sign_tests"; "frag_hits"; "frag_misses";
+      "build_pairs_classified"; "build_pair_chunks"; "build_peak_pairs"; "build_crossings";
+    ]
+
+let global = scope global_keys
+let counter name = cell global (key global_keys name)
+let hash_ops = counter "hash_ops"
+let hash_bytes = counter "hash_bytes"
+let sign_ops = counter "sign_ops"
+let verify_ops = counter "verify_ops"
+let itree_nodes = counter "itree_nodes"
+let fmh_nodes = counter "fmh_nodes"
+let mesh_cells = counter "mesh_cells"
+let bytes_out = counter "bytes_out"
+let memo_pair_hits = counter "memo_pair_hits"
+let memo_pair_misses = counter "memo_pair_misses"
+let memo_fmh_hits = counter "memo_fmh_hits"
+let memo_fmh_misses = counter "memo_fmh_misses"
+let locate_sign_tests = counter "locate_sign_tests"
+let frag_hits = counter "frag_hits"
+let frag_misses = counter "frag_misses"
+let build_pairs_classified = counter "build_pairs_classified"
+let build_pair_chunks = counter "build_pair_chunks"
+let build_peak_pairs = counter "build_peak_pairs"
+let build_crossings = counter "build_crossings"
+let reset () = Array.iter (fun c -> Atomic.set c 0) global.cells
 
 let snapshot () =
   {
@@ -129,28 +145,26 @@ let pp ppf s =
     (s.frag_hits + s.frag_misses)
     s.build_pairs_classified s.build_pair_chunks s.build_peak_pairs s.build_crossings
 
-let add n v = ignore (Atomic.fetch_and_add n v : int)
-
 let add_hash ~bytes_len =
   Atomic.incr hash_ops;
-  add hash_bytes bytes_len
+  add_cell hash_bytes bytes_len
 
 let add_sign () = Atomic.incr sign_ops
 let add_verify () = Atomic.incr verify_ops
-let add_itree_nodes n = add itree_nodes n
-let add_fmh_nodes n = add fmh_nodes n
-let add_mesh_cells n = add mesh_cells n
-let add_bytes_out n = add bytes_out n
+let add_itree_nodes n = add_cell itree_nodes n
+let add_fmh_nodes n = add_cell fmh_nodes n
+let add_mesh_cells n = add_cell mesh_cells n
+let add_bytes_out n = add_cell bytes_out n
 let add_memo_pair_hit () = Atomic.incr memo_pair_hits
 let add_memo_pair_miss () = Atomic.incr memo_pair_misses
 let add_memo_fmh_hit () = Atomic.incr memo_fmh_hits
 let add_memo_fmh_miss () = Atomic.incr memo_fmh_misses
-let add_locate_sign_tests n = add locate_sign_tests n
+let add_locate_sign_tests n = add_cell locate_sign_tests n
 let add_frag_hit () = Atomic.incr frag_hits
 let add_frag_miss () = Atomic.incr frag_misses
-let add_build_pairs_classified n = add build_pairs_classified n
-let add_build_pair_chunks n = add build_pair_chunks n
-let add_build_crossings n = add build_crossings n
+let add_build_pairs_classified n = add_cell build_pairs_classified n
+let add_build_pair_chunks n = add_cell build_pair_chunks n
+let add_build_crossings n = add_cell build_crossings n
 
 (* high-water mark: keep the maximum ever observed since the last
    reset. CAS loop only for safety — the enumerator updates it from the

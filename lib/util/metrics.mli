@@ -1,4 +1,4 @@
-(** Global cost counters.
+(** Cost counters: the one counter registry.
 
     The paper's simulation reports costs as operation counts (nodes or
     cells traversed, hash operations, signature operations) as well as
@@ -6,13 +6,48 @@
     where the corresponding work happens; benchmarks snapshot them around
     a measured region.
 
-    Counters are [Atomic.t]-backed: the owner-side construction pipeline
-    fans work out over {!Aqv_par.Pool} domains, and the ticks issued
-    from worker domains must not be lost — a parallel build performs
-    exactly the same operations as a sequential one, so its totals must
-    match exactly. [snapshot] reads each counter atomically but not the
-    set of counters as a whole; take snapshots at quiescent points
-    (benchmarks already do). *)
+    Every counter lives in a {e scope}: an instance of a closed, ordered
+    list of {!keys}, with one stable name and one [Atomic.t] cell per
+    key. The library's own counters below are the process-wide global
+    scope; each serving engine owns one more scope for its request,
+    cache and replication counters.
+
+    Cells are [Atomic.t]: the owner-side construction pipeline fans
+    work out over {!Aqv_par.Pool} domains, and the ticks issued from
+    worker domains must not be lost — a parallel build performs exactly
+    the same operations as a sequential one, so its totals must match
+    exactly. A read takes each cell atomically but not the set of cells
+    as a whole; take snapshots at quiescent points (benchmarks already
+    do). *)
+
+(** {1 Scopes} *)
+
+type keys
+(** A closed, ordered list of counter names: the shape of a scope. *)
+
+type key
+(** One name of a {!keys} list, resolved once so ticks never search. *)
+
+type scope
+(** One instance of a {!keys} list: one cell per key, all starting at 0. *)
+
+val keys : string list -> keys
+(** @raise Invalid_argument on a duplicate name. *)
+
+val key : keys -> string -> key
+(** @raise Invalid_argument if the name is not in the list. *)
+
+val scope : keys -> scope
+
+val incr : scope -> key -> unit
+val add : scope -> key -> int -> unit
+(** Tick a key's cell. Both raise [Invalid_argument] if the key belongs
+    to another {!keys} list. *)
+
+val to_assoc : scope -> (string * int) list
+(** Every key with its current value, in list order. *)
+
+(** {1 The global scope} *)
 
 type snapshot = {
   hash_ops : int;  (** one-way hash compressions requested *)
@@ -62,10 +97,10 @@ type snapshot = {
 }
 
 val reset : unit -> unit
-(** Zero every counter. *)
+(** Zero every counter of the global scope. *)
 
 val snapshot : unit -> snapshot
-(** Current counter values. *)
+(** Current values of the global scope. *)
 
 val diff : snapshot -> snapshot -> snapshot
 (** [diff later earlier] is the per-field difference. *)

@@ -23,7 +23,6 @@ module Workload = Aqv_db.Workload
 module Store = Aqv_store.Store
 module Serror = Aqv_store.Error
 module Engine = Aqv_serve.Engine
-module Stats = Aqv_serve.Stats
 module Frame_io = Aqv_serve.Frame_io
 module Roundtrip = Aqv_serve.Roundtrip
 module Hub = Aqv_cluster.Hub
@@ -226,7 +225,7 @@ let test_follower_identity (scheme, dims, seed) () =
             (fun () ->
               check Alcotest.bool "follower connected" true
                 (await 10. (fun () ->
-                     Stats.get (Engine.stats primary.n_engine) "followers_connected"
+                     List.assoc "followers_connected" (Engine.stats primary.n_engine)
                      = 1));
               let tbl = ref table and index = ref index1 in
               for step = 1 to steps do
@@ -249,9 +248,9 @@ let test_follower_identity (scheme, dims, seed) () =
                   (hex (node_image follower))
               done;
               check Alcotest.int "deltas shipped" steps
-                (Stats.get (Engine.stats primary.n_engine) "deltas_shipped");
+                (List.assoc "deltas_shipped" (Engine.stats primary.n_engine));
               check Alcotest.int "epoch gauge tracks" (steps + 1)
-                (Stats.get (Engine.stats follower.n_engine) "epoch");
+                (List.assoc "epoch" (Engine.stats follower.n_engine));
               (* both replicas export the VO fragment-cache counters;
                  serving one query assembles (and misses) fragments *)
               List.iter
@@ -365,7 +364,7 @@ let test_snapshot_install () =
                   check Alcotest.int "follower log reset" 0
                     (Store.log_frames follower.n_store);
                   check Alcotest.int "compaction counted" 1
-                    (Stats.get (Engine.stats follower.n_engine) "compactions");
+                    (List.assoc "compactions" (Engine.stats follower.n_engine));
                   (* the stream continues with plain deltas from here *)
                   republish ();
                   check Alcotest.bool "delta after snapshot" true
@@ -460,7 +459,7 @@ let test_follower_crash_reconverge () =
                 (hex (save_bytes !index))
                 (hex (node_image !follower));
               check Alcotest.int "no snapshot was needed" 0
-                (Stats.get (Engine.stats !follower.n_engine) "compactions"))))
+                (List.assoc "compactions" (Engine.stats !follower.n_engine)))))
 
 (* ------------------------------ hub --------------------------------- *)
 

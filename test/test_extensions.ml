@@ -586,6 +586,15 @@ let test_protocol_roundtrips () =
       ( Protocol.Run_query (Query.top_k ~x:[| Q.of_int 5 |] ~k:1),
         fun reply -> match reply with Protocol.Refused _ -> true | _ -> false );
     ]
+    (* engine-only requests: dispatch alone refuses them *)
+    @ List.map
+        (fun request ->
+          (request, fun reply -> match reply with Protocol.Refused _ -> true | _ -> false))
+        [
+          Protocol.Get_stats;
+          Protocol.Republish (Ifmh.delta ~changes:[] index);
+          Protocol.Subscribe { from_epoch = Some 1 };
+        ]
   in
   List.iter
     (fun (request, accept) ->

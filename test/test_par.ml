@@ -105,11 +105,17 @@ let test_shutdown () =
 let test_metrics_concurrent () =
   let p = Lazy.force par_pool in
   let rounds = 10_000 in
+  (* a non-global scope, ticked alongside from the same domains *)
+  let keys = Metrics.keys [ "ticks"; "bytes" ] in
+  let ticks = Metrics.key keys "ticks" and bytes = Metrics.key keys "bytes" in
+  let scope = Metrics.scope keys in
   Metrics.reset ();
   let before = Metrics.snapshot () in
   ignore
     (Pool.parallel_init p 8 (fun _ ->
          for _ = 1 to rounds do
+           Metrics.incr scope ticks;
+           Metrics.add scope bytes 3;
            Metrics.add_hash ~bytes_len:3;
            Metrics.add_sign ();
            Metrics.add_verify ();
@@ -127,7 +133,10 @@ let test_metrics_concurrent () =
   check Alcotest.int "itree_nodes" (2 * total) d.Metrics.itree_nodes;
   check Alcotest.int "fmh_nodes" total d.Metrics.fmh_nodes;
   check Alcotest.int "mesh_cells" total d.Metrics.mesh_cells;
-  check Alcotest.int "bytes_out" (5 * total) d.Metrics.bytes_out
+  check Alcotest.int "bytes_out" (5 * total) d.Metrics.bytes_out;
+  check
+    Alcotest.(list (pair string int))
+    "scope" [ ("ticks", total); ("bytes", 3 * total) ] (Metrics.to_assoc scope)
 
 (* --------------------------- determinism ---------------------------- *)
 

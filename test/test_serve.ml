@@ -17,7 +17,6 @@ module Roundtrip = Aqv_serve.Roundtrip
 module Frame_io = Aqv_serve.Frame_io
 module Cache = Aqv_serve.Cache
 module Faults = Aqv_serve.Faults
-module Stats = Aqv_serve.Stats
 open Aqv
 
 let check = Alcotest.check
@@ -262,7 +261,7 @@ let test_concurrent_sessions () =
         ~finally:(fun () -> try Unix.close a with Unix.Unix_error _ -> ())
         (fun () ->
           ignore (Unix.write_substring a "\x00\x00" 0 2);
-          await "A accepted" (fun () -> Stats.get (Engine.stats t) "conns_accepted" >= 1);
+          await "A accepted" (fun () -> List.assoc "conns_accepted" (Engine.stats t) >= 1);
           (* client B must still get a verified reply within its deadline *)
           let t0 = Unix.gettimeofday () in
           let opts = { Roundtrip.default_opts with read_timeout = 3.; attempts = 2 } in
@@ -283,7 +282,7 @@ let test_stalled_session_reaped () =
           ignore (Unix.write_substring a "\x00\x00" 0 2);
           (* the server must reap the stalled session on its own *)
           await "stalled session dropped" (fun () ->
-              Stats.get (Engine.stats t) "sessions_dropped" >= 1);
+              List.assoc "sessions_dropped" (Engine.stats t) >= 1);
           (* and a misbehaving client costs nobody else anything *)
           expect_verified_topk 3
             (Roundtrip.call ~port (Protocol.Run_query (topk_query 3)))))
@@ -295,12 +294,12 @@ let test_overload_shedding () =
       Fun.protect
         ~finally:(fun () -> try Unix.close a with Unix.Unix_error _ -> ())
         (fun () ->
-          await "A accepted" (fun () -> Stats.get (Engine.stats t) "conns_accepted" >= 1);
+          await "A accepted" (fun () -> List.assoc "conns_accepted" (Engine.stats t) >= 1);
           match Roundtrip.call ~port (Protocol.Run_query (topk_query 2)) with
           | Protocol.Refused m ->
             check Alcotest.string "load shed reply" "overloaded" m;
             check Alcotest.bool "shed counted" true
-              (Stats.get (Engine.stats t) "conns_refused" >= 1)
+              (List.assoc "conns_refused" (Engine.stats t) >= 1)
           | _ -> Alcotest.fail "expected Refused \"overloaded\""))
 
 let test_malformed_frames_refused_inline () =
@@ -339,7 +338,7 @@ let test_oversized_frame_drops_session () =
              close — and stay alive for everyone else *)
           ignore (Unix.write_substring a (header_of ((64 * 1024 * 1024) + 1)) 0 4);
           await "oversized frame dropped" (fun () ->
-              Stats.get (Engine.stats t) "sessions_dropped" >= 1);
+              List.assoc "sessions_dropped" (Engine.stats t) >= 1);
           expect_verified_topk 3
             (Roundtrip.call ~port (Protocol.Run_query (topk_query 3)))))
 
@@ -383,13 +382,13 @@ let test_fault_injection_never_corrupts () =
       done;
       let stats = Engine.stats t in
       let injected =
-        Stats.get stats "faults_delay"
-        + Stats.get stats "faults_truncate"
-        + Stats.get stats "faults_drop"
+        List.assoc "faults_delay" stats
+        + List.assoc "faults_truncate" stats
+        + List.assoc "faults_drop" stats
       in
       check Alcotest.bool "faults actually fired" true (injected >= 1);
       check Alcotest.bool "cache served hits despite faults" true
-        (Stats.get stats "cache_hits" >= 1))
+        (List.assoc "cache_hits" stats >= 1))
 
 (* ----------------------------- hot swap ----------------------------- *)
 
@@ -420,15 +419,15 @@ let test_republish_over_wire () =
           expect_verified_topk 4 (Roundtrip.ask fd (Protocol.Run_query (topk_query 4)));
           expect_verified_topk 4 (Roundtrip.ask fd (Protocol.Run_query (topk_query 4)));
           check Alcotest.bool "cache warm" true
-            (Stats.get (Engine.stats t) "cache_hits" >= 1);
+            (List.assoc "cache_hits" (Engine.stats t) >= 1);
           (* the owner ships the delta in-band *)
           (match Roundtrip.ask fd (Protocol.Republish (Ifmh.delta ~changes updated)) with
           | Protocol.Republished e -> check Alcotest.int "served epoch" 4 e
           | _ -> Alcotest.fail "expected Republished");
           check Alcotest.bool "swap counted" true
-            (Stats.get (Engine.stats t) "index_swaps" >= 1);
+            (List.assoc "index_swaps" (Engine.stats t) >= 1);
           check Alcotest.bool "republish counted" true
-            (Stats.get (Engine.stats t) "req_republish" >= 1);
+            (List.assoc "req_republish" (Engine.stats t) >= 1);
           (* the very query cached pre-swap now answers from the new
              index: the epoch in the cache key strands the old entry *)
           (match Roundtrip.ask fd (Protocol.Run_query (topk_query 4)) with
@@ -479,6 +478,81 @@ let test_frag_stats_over_wire () =
               (get "frag_hits_post_republish" >= 1)
           | _ -> Alcotest.fail "expected Stats"))
 
+(* The Get_stats key list is a wire contract: routers poll "epoch", the
+   selftest and the workload report read gauges by name, and the
+   benchmark diffs counters across runs. A fresh engine serves exactly
+   these keys in this order, publisher or not; the latency buckets
+   follow them, one [latency_us_le_<bound>] key per non-empty bucket. *)
+let golden_stats_keys =
+  [
+    "req_query"; "req_rank"; "req_count"; "req_stats"; "req_republish";
+    "req_subscribe"; "req_malformed"; "replies_refused"; "bytes_in"; "bytes_out";
+    "cache_hits"; "cache_misses"; "conns_accepted"; "conns_refused";
+    "sessions_dropped"; "index_swaps"; "log_appends"; "recoveries";
+    "torn_tail_truncations"; "frames_coalesced"; "compactions"; "memo_pair_hits";
+    "memo_fmh_hits"; "frag_hits"; "frag_misses"; "frag_hits_post_republish";
+    "frag_misses_post_republish"; "epoch"; "followers_connected"; "deltas_shipped";
+    "follower_lag_frames"; "faults_delay"; "faults_truncate"; "faults_drop";
+    "latency_us_count"; "latency_us_max"; "latency_us_p50"; "latency_us_p90";
+    "latency_us_p99";
+  ]
+
+let stub_publisher =
+  {
+    Engine.subscribe = (fun _ ~from_epoch:_ -> ());
+    ship = (fun ~base:_ ~index:_ _ -> ());
+    lag = (fun () -> 7);
+  }
+
+let stats_of_reply = function
+  | Protocol.Stats kvs -> kvs
+  | _ -> Alcotest.fail "expected Stats"
+
+let test_stats_golden_keys () =
+  let is_bucket (k, _) = String.starts_with ~prefix:"latency_us_le_" k in
+  List.iter
+    (fun (label, publisher) ->
+      let config = { Engine.default_config with publisher } in
+      with_engine ~config (fun _ port ->
+          Roundtrip.with_connection ~port (fun fd ->
+              let fresh = stats_of_reply (Roundtrip.ask fd Protocol.Get_stats) in
+              check Alcotest.(list string) (label ^ ": fresh keys") golden_stats_keys
+                (List.map fst fresh);
+              (* the first Get_stats was timed: now one bucket exists *)
+              let kvs = stats_of_reply (Roundtrip.ask fd Protocol.Get_stats) in
+              let n = List.length golden_stats_keys in
+              check Alcotest.(list string) (label ^ ": fixed keys first") golden_stats_keys
+                (List.filteri (fun i _ -> i < n) (List.map fst kvs));
+              let buckets = List.filteri (fun i _ -> i >= n) kvs in
+              check Alcotest.bool (label ^ ": bucket keys trail") true
+                (buckets <> [] && List.for_all is_bucket buckets))))
+    [ ("no publisher", None); ("publisher", Some stub_publisher) ];
+  (* values after some traffic and one republish *)
+  let changes, updated = updated_pair () in
+  let config = { Engine.default_config with publisher = Some stub_publisher } in
+  with_engine ~config (fun _ port ->
+      Roundtrip.with_connection ~port (fun fd ->
+          List.iter
+            (fun k -> expect_verified_topk k (Roundtrip.ask fd (Protocol.Run_query (topk_query k))))
+            [ 2; 3; 4; 4; 5 ];
+          (match Roundtrip.ask fd (Protocol.Republish (Ifmh.delta ~changes updated)) with
+          | Protocol.Republished _ -> ()
+          | _ -> Alcotest.fail "expected Republished");
+          let x1 = Lazy.force sample_x in
+          let x2 = [| Q.add x1.(0) (Q.of_ints 1 1_000_000_000) |] in
+          List.iter
+            (fun x -> ignore (Roundtrip.ask fd (Protocol.Run_query (Query.top_k ~x ~k:4))))
+            [ x1; x2; x1 ];
+          let kvs = stats_of_reply (Roundtrip.ask fd Protocol.Get_stats) in
+          let get k = List.assoc k kvs in
+          check Alcotest.int "epoch" 4 (get "epoch");
+          check Alcotest.int "index_swaps" 1 (get "index_swaps");
+          check Alcotest.int "cache lookups" 8 (get "cache_hits" + get "cache_misses");
+          check Alcotest.int "cache hits" 2 (get "cache_hits");
+          check Alcotest.int "frag_hits_post_republish" 5 (get "frag_hits_post_republish");
+          check Alcotest.int "deltas_shipped" 1 (get "deltas_shipped");
+          check Alcotest.int "follower_lag_frames" 7 (get "follower_lag_frames")))
+
 (* Concurrent clients across a live swap: every reply must verify
    against exactly the bundle of the epoch it claims (a pre-swap reply
    never verifies at the new minimum epoch), no epoch other than the two
@@ -518,7 +592,7 @@ let test_swap_under_concurrent_load () =
       in
       let threads = List.init 4 (fun i -> Thread.create worker i) in
       await "some pre-swap traffic" (fun () ->
-          Stats.get (Engine.stats t) "req_query" >= 8);
+          List.assoc "req_query" (Engine.stats t) >= 8);
       (match Roundtrip.call ~port (Protocol.Republish (Ifmh.delta ~changes updated)) with
       | Protocol.Republished 4 -> Atomic.set swapped true
       | _ -> Alcotest.fail "republish failed");
@@ -590,6 +664,7 @@ let () =
           Alcotest.test_case "republish over the wire" `Quick test_republish_over_wire;
           Alcotest.test_case "fragment stats over the wire" `Quick
             test_frag_stats_over_wire;
+          Alcotest.test_case "golden Get_stats keys" `Quick test_stats_golden_keys;
           Alcotest.test_case "concurrent clients across swap" `Quick
             test_swap_under_concurrent_load;
         ] );

@@ -25,7 +25,6 @@ module Snapshot = Aqv_store.Snapshot
 module Wal = Aqv_store.Wal
 module Store = Aqv_store.Store
 module Engine = Aqv_serve.Engine
-module Stats = Aqv_serve.Stats
 module Roundtrip = Aqv_serve.Roundtrip
 open Aqv
 
@@ -656,9 +655,9 @@ let test_engine_durable_before_ack () =
           | _ -> Alcotest.fail "expected Refused on injected write failure");
           check Alcotest.int "epoch unchanged" 1 (Ifmh.epoch (Engine.index engine));
           check Alcotest.int "no log append counted" 0
-            (Stats.get (Engine.stats engine) "log_appends");
+            (List.assoc "log_appends" (Engine.stats engine));
           check Alcotest.int "refusal counted" 1
-            (Stats.get (Engine.stats engine) "replies_refused");
+            (List.assoc "replies_refused" (Engine.stats engine));
           (* 2: same delta, healthy store -> logged, swapped, acked *)
           (match Roundtrip.call ~port (Protocol.Republish delta) with
           | Protocol.Republished 2 -> ()
@@ -666,7 +665,7 @@ let test_engine_durable_before_ack () =
           check Alcotest.bool "swap visible" true
             (await 2. (fun () -> Ifmh.epoch (Engine.index engine) = 2));
           check Alcotest.int "log append counted" 1
-            (Stats.get (Engine.stats engine) "log_appends");
+            (List.assoc "log_appends" (Engine.stats engine));
           check Alcotest.int "frame durable" 1 (Store.log_frames store);
           (* 3: recovery from that store serves the acked bytes *)
           let served = save_bytes (Engine.index engine) in
@@ -730,7 +729,7 @@ let test_engine_background_compaction () =
           (* the ack does not wait for the snapshot rewrite: compaction
              lands in the background shortly after and resets the log *)
           check Alcotest.bool "compaction happened" true
-            (await 2. (fun () -> Stats.get (Engine.stats engine) "compactions" = 1));
+            (await 2. (fun () -> List.assoc "compactions" (Engine.stats engine) = 1));
           check Alcotest.bool "log reset" true
             (await 2. (fun () -> Store.log_frames store = 0));
           match Store.open_dir ~policy dir with

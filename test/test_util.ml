@@ -312,6 +312,23 @@ let test_metrics_diff () =
   check Alcotest.int "hash_bytes diff" 7 d.hash_bytes;
   check Alcotest.int "sign diff" 1 d.sign_ops
 
+let test_metrics_scopes () =
+  let shape = Metrics.keys [ "b"; "a" ] in
+  let a = Metrics.key shape "a" and b = Metrics.key shape "b" in
+  let s1 = Metrics.scope shape and s2 = Metrics.scope shape in
+  Metrics.incr s1 a;
+  Metrics.add s1 b 5;
+  Metrics.add s2 a (-2);
+  check Alcotest.(list (pair string int)) "key order" [ ("b", 5); ("a", 1) ]
+    (Metrics.to_assoc s1);
+  check Alcotest.(list (pair string int)) "own cells" [ ("b", 0); ("a", -2) ]
+    (Metrics.to_assoc s2);
+  let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
+  check Alcotest.bool "duplicate name" true (raises (fun () -> ignore (Metrics.keys [ "x"; "x" ])));
+  check Alcotest.bool "unknown name" true (raises (fun () -> ignore (Metrics.key shape "c")));
+  let other = Metrics.scope (Metrics.keys [ "a" ]) in
+  check Alcotest.bool "key of another list" true (raises (fun () -> Metrics.incr other a))
+
 let () =
   Alcotest.run "aqv_util"
     [
@@ -366,5 +383,6 @@ let () =
         [
           Alcotest.test_case "counters" `Quick test_metrics_counts;
           Alcotest.test_case "diff" `Quick test_metrics_diff;
+          Alcotest.test_case "scopes" `Quick test_metrics_scopes;
         ] );
     ]
