@@ -141,12 +141,11 @@ let run_publish n seed scheme epoch dir =
 
 (* ------------------------------- serve ------------------------------ *)
 
-let engine_config port once max_conns cache_capacity idle_timeout read_timeout
+let engine_config port max_conns cache_capacity idle_timeout read_timeout
     write_timeout stats_interval faults =
   {
     Engine.default_config with
     port;
-    once;
     max_conns;
     cache_capacity;
     idle_timeout;
@@ -185,7 +184,7 @@ let open_or_bootstrap dir follow =
     Store.open_dir dir
   | _ -> Store.open_dir dir
 
-let run_serve dir port once max_conns cache_capacity idle_timeout read_timeout
+let run_serve dir port max_conns cache_capacity idle_timeout read_timeout
     write_timeout stats_interval fault_spec follow port_file =
   setup_logging ();
   let follow = Option.map parse_hostport follow in
@@ -201,7 +200,7 @@ let run_serve dir port once max_conns cache_capacity idle_timeout read_timeout
     let hub = Hub.create ~initial:index () in
     let config =
       {
-        (engine_config port once max_conns cache_capacity idle_timeout
+        (engine_config port max_conns cache_capacity idle_timeout
            read_timeout write_timeout stats_interval fault_spec)
         with
         Engine.store = Some store;
@@ -236,10 +235,9 @@ let run_serve dir port once max_conns cache_capacity idle_timeout read_timeout
      then
        Printf.printf "  rebuild cache: %d pair / %d fmh hit(s) during recovery\n"
          m.Aqv_util.Metrics.memo_pair_hits m.Aqv_util.Metrics.memo_fmh_hits);
-    Printf.printf "serving %d records on 127.0.0.1:%d%s (max %d conns, cache %d)%s\n%!"
+    Printf.printf "serving %d records on 127.0.0.1:%d (max %d conns, cache %d)%s\n%!"
       (Table.size (Ifmh.table index))
       (Engine.port engine)
-      (if once then " (single connection)" else "")
       config.Engine.max_conns config.Engine.cache_capacity
       (match follow with
       | Some (host, port) ->
@@ -1040,7 +1038,6 @@ let port_t = Arg.(value & opt int 7464 & info [ "port" ] ~docv:"PORT")
 let records_t = Arg.(value & opt int 100 & info [ "records"; "n" ] ~docv:"N")
 let seed_t = Arg.(value & opt int 42 & info [ "seed" ])
 let epoch_t = Arg.(value & opt int 0 & info [ "epoch" ])
-let once_t = Arg.(value & flag & info [ "once" ] ~doc:"Serve a single connection and exit.")
 
 let max_conns_t =
   Arg.(value & opt int 64 & info [ "max-conns" ] ~doc:"Concurrent connection limit.")
@@ -1141,7 +1138,7 @@ let serve_cmd =
          "Storage server: serve index.bin concurrently (primary, or --follow \
           replica).")
     Term.(
-      const run_serve $ dir_t $ port_t $ once_t $ max_conns_t $ cache_t
+      const run_serve $ dir_t $ port_t $ max_conns_t $ cache_t
       $ idle_timeout_t $ read_timeout_t $ write_timeout_t $ stats_interval_t
       $ fault_t $ follow_t $ port_file_t)
 

@@ -53,8 +53,6 @@ let create ?(capacity = default_capacity) () =
   }
 
 let disabled () = create ~capacity:0 ()
-let enabled t = t.capacity > 0
-let size t = Hashtbl.length t.tbl
 
 let locked t f =
   Mutex.lock t.mu;

@@ -58,9 +58,6 @@ val default_capacity : int
 val disabled : unit -> t
 (** [create ~capacity:0 ()]. *)
 
-val enabled : t -> bool
-val size : t -> int
-
 val counters : t -> int * int
 (** [(hits, misses)] accumulated by this cache object — unlike the
     global {!Aqv_util.Metrics} counters these survive concurrent serving

@@ -26,7 +26,6 @@ type t
 
 val build :
   ?seed:int64 ->
-  ?fmh_storage:Sorting.storage ->
   ?epoch:int ->
   ?pool:Aqv_par.Pool.pool ->
   scheme:scheme ->
@@ -35,9 +34,7 @@ val build :
   t
 (** Owner-side construction: I-tree insertion, per-subdomain sorting,
     FMH construction, hash propagation, signing. All hash and signature
-    operations tick {!Aqv_util.Metrics}. [fmh_storage] selects the
-    FMH persistence policy (see {!Sorting.storage}; default
-    [Snapshot]). [epoch] (default 0) is a freshness counter committed in
+    operations tick {!Aqv_util.Metrics}. [epoch] (default 0) is a freshness counter committed in
     every signature: clients configured with a minimum epoch reject
     replays of stale database versions.
 
@@ -94,19 +91,6 @@ val apply :
     ones are mixed.
     @raise Invalid_argument on a malformed change list (see
     {!Update.apply_table}) or a decreasing epoch. *)
-
-val insert :
-  ?epoch:int -> ?pool:Aqv_par.Pool.pool -> Aqv_crypto.Signer.keypair ->
-  Aqv_db.Record.t -> t -> t
-
-val delete :
-  ?epoch:int -> ?pool:Aqv_par.Pool.pool -> Aqv_crypto.Signer.keypair ->
-  int -> t -> t
-(** By record id. *)
-
-val modify :
-  ?epoch:int -> ?pool:Aqv_par.Pool.pool -> Aqv_crypto.Signer.keypair ->
-  Aqv_db.Record.t -> t -> t
 
 val drop_rebuild_cache : t -> t
 (** The same index with an empty {!Memo} rebuild cache: the next
@@ -216,7 +200,7 @@ val save : Aqv_util.Wire.writer -> t -> unit
     the table and build seed, so only those inputs plus the owner's
     signatures go on the wire. *)
 
-val load : ?fmh_storage:Sorting.storage -> ?pool:Aqv_par.Pool.pool -> Aqv_util.Wire.reader -> t
+val load : ?pool:Aqv_par.Pool.pool -> Aqv_util.Wire.reader -> t
 (** Rebuild a saved index (e.g. on the storage server after the owner's
     upload); the reconstruction parallelizes over [pool] exactly as
     {!build} does. Signatures are attached, not checked — the verifying

@@ -23,7 +23,6 @@ type config = {
   cache_capacity : int;
   stats_interval : float;
   drain_timeout : float;
-  once : bool;
   faults : Faults.t option;
   store : Aqv_store.Store.t option;
   accept_republish : bool;
@@ -40,7 +39,6 @@ let default_config =
     cache_capacity = 1024;
     stats_interval = 0.;
     drain_timeout = 5.;
-    once = false;
     faults = None;
     store = None;
     accept_republish = true;
@@ -503,17 +501,17 @@ let session_thread t fd =
       | Unix.Unix_error _ as e -> drop_session t e
       | Failure _ as e -> drop_session t e)
 
+(* Runs on the accept loop: a fresh socket's empty send buffer takes
+   the short refusal frame without blocking (the send timeout bounds
+   the worst case), so shedding spawns no thread. *)
 let shed t fd =
   tick t conns_refused;
-  ignore
-    (Thread.create
-       (fun () ->
-         (try
-            let bytes = encode_reply_bytes (Protocol.Refused "overloaded") in
-            ignore (Frame_io.write_frame ~timeout:1.0 fd bytes)
-          with _ -> ());
-         try Unix.close fd with Unix.Unix_error _ -> ())
-       ())
+  (try
+     ignore
+       (Frame_io.write_frame ~timeout:1.0 fd
+          (encode_reply_bytes (Protocol.Refused "overloaded")))
+   with Unix.Unix_error _ | Frame_io.Timeout -> ());
+  try Unix.close fd with Unix.Unix_error _ -> ()
 
 let stats_logger t =
   ignore
@@ -570,14 +568,8 @@ let serve t =
         end
         else begin
           tick t conns_accepted;
-          if t.config.once then begin
-            session_thread t conn;
-            stop t
-          end
-          else begin
-            ignore (Thread.create (fun () -> session_thread t conn) ());
-            accept_loop ()
-          end
+          ignore (Thread.create (fun () -> session_thread t conn) ());
+          accept_loop ()
         end
     end
   in

@@ -60,7 +60,6 @@ type config = {
   cache_capacity : int;  (** LRU entries; 0 disables the response cache *)
   stats_interval : float;  (** seconds between stats log lines; 0. disables *)
   drain_timeout : float;  (** max seconds {!serve} waits for drain on stop *)
-  once : bool;  (** serve a single connection, then return *)
   faults : Faults.t option;  (** reply-path fault injection (tests) *)
   store : Aqv_store.Store.t option;
       (** durable store: republishes are logged before the ack. The

@@ -1,6 +1,5 @@
 (* Tests for features beyond the paper's core construction: verifiable
-   rank queries, the lazy (Recompute) FMH storage policy, the compact
-   VO codec, full response serialization, I-tree depth statistics, and
+   rank queries, VO and full response serialization, I-tree depth statistics, and
    the plain-vs-Montgomery modexp equivalence. *)
 
 module Q = Aqv_num.Rational
@@ -82,61 +81,6 @@ let test_rank_tamper_rejected () =
   | Ok _ -> Alcotest.fail "shifted rank accepted"
   | Error _ -> ()
 
-(* --------------------------- lazy storage --------------------------- *)
-
-let test_lazy_storage_equivalent () =
-  let t = Lazy.force table in
-  let kp = Lazy.force keypair in
-  let snap = Ifmh.build ~scheme:Ifmh.One_signature t kp in
-  let lazy_ = Ifmh.build ~fmh_storage:Sorting.Recompute ~scheme:Ifmh.One_signature t kp in
-  check Alcotest.bool "storage flag" true (Sorting.storage (Ifmh.sorting lazy_) = Sorting.Recompute);
-  (* identical commitments *)
-  for id = 0 to Itree.leaf_count (Ifmh.itree snap) - 1 do
-    check Alcotest.string "same fmh root"
-      (Sorting.fmh_root (Ifmh.sorting snap) id)
-      (Sorting.fmh_root (Ifmh.sorting lazy_) id)
-  done;
-  (* identical signatures (same root, same deterministic signer input) *)
-  check Alcotest.string "same root signature" (Ifmh.root_signature snap)
-    (Ifmh.root_signature lazy_);
-  (* identical responses, and they verify *)
-  let rng = Prng.create 505L in
-  let c = ctx () in
-  for _ = 1 to 20 do
-    let x = Workload.weight_point t rng in
-    let q = Query.top_k ~x ~k:4 in
-    let r1 = Server.answer snap q and r2 = Server.answer lazy_ q in
-    let w1 = Wire.writer () and w2 = Wire.writer () in
-    Server.encode_response w1 r1;
-    Server.encode_response w2 r2;
-    check Alcotest.string "identical responses" (Wire.contents w1) (Wire.contents w2);
-    check Alcotest.bool "verifies" true (Client.accepts c q r2)
-  done
-
-let test_lazy_storage_multi_sig () =
-  let t = Workload.lines_1d ~n:12 (Prng.create 506L) in
-  let kp = Lazy.force keypair in
-  let lazy_ = Ifmh.build ~fmh_storage:Sorting.Recompute ~scheme:Ifmh.Multi_signature t kp in
-  let c =
-    Client.make_ctx ~template:(Table.template t) ~domain:(Table.domain t)
-      ~verify_signature:kp.Signer.verify
-  in
-  let rng = Prng.create 507L in
-  for _ = 1 to 10 do
-    let x = Workload.weight_point t rng in
-    let l, u = Workload.range_for_result_size t ~x ~size:3 in
-    let q = Query.range ~x ~l ~u in
-    check Alcotest.bool "verifies" true (Client.accepts c q (Server.answer lazy_ q))
-  done
-
-let test_lazy_storage_2d () =
-  let t = Workload.scored ~n:6 ~dims:2 (Prng.create 508L) in
-  let kp = Lazy.force keypair in
-  let snap = Ifmh.build ~scheme:Ifmh.One_signature t kp in
-  let lazy_ = Ifmh.build ~fmh_storage:Sorting.Recompute ~scheme:Ifmh.One_signature t kp in
-  check Alcotest.string "same root signature" (Ifmh.root_signature snap)
-    (Ifmh.root_signature lazy_)
-
 (* --------------------------- VO codecs ------------------------------ *)
 
 let roundtrip_checks index =
@@ -147,44 +91,20 @@ let roundtrip_checks index =
     let q = Query.top_k ~x ~k:(Prng.int_in rng 1 10) in
     let resp = Server.answer index q in
     let vo = resp.Server.vo in
-    (* plain codec *)
     let w = Wire.writer () in
     Vo.encode w vo;
     let vo' = Vo.decode (Wire.reader (Wire.contents w)) in
     let w2 = Wire.writer () in
     Vo.encode w2 vo';
     check Alcotest.string "plain roundtrip" (Wire.contents w) (Wire.contents w2);
-    (* compact codec *)
-    let wc = Wire.writer () in
-    Vo.encode_compact wc vo;
-    let voc = Vo.decode_compact (Wire.reader (Wire.contents wc)) in
-    let w3 = Wire.writer () in
-    Vo.encode w3 voc;
-    check Alcotest.string "compact roundtrip preserves VO" (Wire.contents w) (Wire.contents w3);
     (* a decoded VO still verifies *)
     let c = ctx () in
     check Alcotest.bool "decoded verifies" true
-      (Client.accepts c q { resp with Server.vo = voc })
+      (Client.accepts c q { resp with Server.vo = vo' })
   done
 
 let test_vo_roundtrip_one () = roundtrip_checks (Lazy.force index_one)
 let test_vo_roundtrip_multi () = roundtrip_checks (Lazy.force index_multi)
-
-let test_compact_smaller_for_one_sig () =
-  (* with a deep path the compact form should not be larger *)
-  let t = Workload.lines_1d ~n:60 (Prng.create 510L) in
-  let kp = Lazy.force keypair in
-  let index = Ifmh.build ~scheme:Ifmh.One_signature t kp in
-  let rng = Prng.create 511L in
-  let worse = ref 0 in
-  for _ = 1 to 20 do
-    let x = Workload.weight_point t rng in
-    let resp = Server.answer index (Query.top_k ~x ~k:3) in
-    let plain = Vo.size_bytes resp.Server.vo in
-    let compact = Vo.size_bytes_compact resp.Server.vo in
-    if compact > plain then incr worse
-  done;
-  check Alcotest.int "compact never larger" 0 !worse
 
 let test_response_roundtrip () =
   let t = Lazy.force table in
@@ -620,17 +540,10 @@ let () =
           Alcotest.test_case "missing id" `Quick test_rank_missing_id;
           Alcotest.test_case "tamper rejected" `Quick test_rank_tamper_rejected;
         ] );
-      ( "lazy-storage",
-        [
-          Alcotest.test_case "equivalent to snapshot" `Quick test_lazy_storage_equivalent;
-          Alcotest.test_case "multi-sig" `Quick test_lazy_storage_multi_sig;
-          Alcotest.test_case "2d" `Quick test_lazy_storage_2d;
-        ] );
       ( "codecs",
         [
           Alcotest.test_case "vo roundtrips, one-sig" `Quick test_vo_roundtrip_one;
           Alcotest.test_case "vo roundtrips, multi-sig" `Quick test_vo_roundtrip_multi;
-          Alcotest.test_case "compact never larger" `Quick test_compact_smaller_for_one_sig;
           Alcotest.test_case "response roundtrip" `Quick test_response_roundtrip;
           Alcotest.test_case "garbage rejected" `Quick test_decode_garbage;
         ] );

@@ -295,12 +295,31 @@ let test_overload_shedding () =
         ~finally:(fun () -> try Unix.close a with Unix.Unix_error _ -> ())
         (fun () ->
           await "A accepted" (fun () -> List.assoc "conns_accepted" (Engine.stats t) >= 1);
-          match Roundtrip.call ~port (Protocol.Run_query (topk_query 2)) with
+          (match Roundtrip.call ~port (Protocol.Run_query (topk_query 2)) with
           | Protocol.Refused m ->
             check Alcotest.string "load shed reply" "overloaded" m;
             check Alcotest.bool "shed counted" true
               (List.assoc "conns_refused" (Engine.stats t) >= 1)
-          | _ -> Alcotest.fail "expected Refused \"overloaded\""))
+          | _ -> Alcotest.fail "expected Refused \"overloaded\"");
+          (* a burst of refused connections, opened back to back before
+             any is read: each gets its own refusal frame *)
+          let refused0 = List.assoc "conns_refused" (Engine.stats t) in
+          let burst = List.init 16 (fun _ -> Roundtrip.connect port) in
+          List.iteri
+            (fun i fd ->
+              Fun.protect
+                ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+                (fun () ->
+                  match Frame_io.read_frame ~header_timeout:5. ~body_timeout:5. fd with
+                  | Some reply -> (
+                    match Protocol.decode_reply (Wire.reader reply) with
+                    | Protocol.Refused "overloaded" -> ()
+                    | _ -> Alcotest.failf "burst connection %d: expected Refused" i)
+                  | None -> Alcotest.failf "burst connection %d closed without a reply" i))
+            burst;
+          check Alcotest.int "burst refusals counted" 16
+            (List.assoc "conns_refused" (Engine.stats t) - refused0);
+          expect_verified_topk 3 (Roundtrip.ask a (Protocol.Run_query (topk_query 3)))))
 
 let test_malformed_frames_refused_inline () =
   with_engine (fun _ port ->

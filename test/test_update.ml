@@ -214,10 +214,10 @@ let test_change_validation () =
     | exception Invalid_argument _ -> ()
   in
   raises "insert existing id" (fun () ->
-      Ifmh.insert fake_keypair (line ~id:0 1 2) index);
-  raises "delete unknown id" (fun () -> Ifmh.delete fake_keypair 99 index);
+      Ifmh.apply fake_keypair [ Update.Insert (line ~id:0 1 2) ] index);
+  raises "delete unknown id" (fun () -> Ifmh.apply fake_keypair [ Update.Delete 99 ] index);
   raises "modify unknown id" (fun () ->
-      Ifmh.modify fake_keypair (line ~id:99 1 2) index);
+      Ifmh.apply fake_keypair [ Update.Modify (line ~id:99 1 2) ] index);
   raises "decreasing epoch" (fun () ->
       Ifmh.apply ~epoch:(Ifmh.epoch index - 1) fake_keypair [] index);
   raises "emptying the table" (fun () ->
